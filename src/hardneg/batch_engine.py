@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class LabeledBatch:
             raise InvalidBatchShape(
                 f"embeddings {emb.shape} do not match {labels.shape[0]} labels"
             )
+        if not np.all(np.isfinite(emb)):
+            raise InvalidBatchShape("batch contains a non-finite embedding")
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         if np.any(norms <= 1e-12):
             raise InvalidBatchShape("batch contains a near-zero embedding")
@@ -114,27 +117,56 @@ def combination_count(batch_size: int, samples_per_class: int) -> int:
 class OptimalDistanceTable:
     """Per-combination optimal distances and their per-pair minima.
 
-    combos holds rows (i, j, k, l) in lexicographic order; solution is the
-    stacked solver output aligned with combos, kept for gradient formation.
+    combos holds rows (i, j, k, l) in lexicographic order and pair_positions
+    the two positive pairs of each row; solution is the stacked solver
+    output aligned with combos, kept for gradient formation.
+    pair_distances is the (P, P) optimal distance between positive pairs
+    (+inf within a class and on the diagonal) and nearest the first row
+    attaining each pair's minimum. The dict views positive_pairs,
+    per_combination and per_pair_min are built on first read.
     """
 
-    positive_pairs: list
-    per_combination: dict
-    per_pair_min: dict
     combos: np.ndarray
-    pair_positions: np.ndarray  # (C, 2) indices into positive_pairs
+    pair_positions: np.ndarray  # (C, 2) indices into pairs
     distances: np.ndarray
     variant: str
-    solution: object = field(repr=False, default=None)
-    pairs: PairSet = field(repr=False, default=None)
+    solution: object = field(repr=False)
+    pairs: PairSet = field(repr=False)
+    pair_distances: np.ndarray = field(repr=False)
+    nearest: np.ndarray = field(repr=False)
+
+    @property
+    def pair_min(self) -> np.ndarray:
+        return self.distances[self.nearest]
+
+    def sample_distances(self) -> np.ndarray:
+        """(B, B) optimal distance between the pairs holding samples i and k."""
+        pair_of = np.empty(2 * len(self.pairs), dtype=int)
+        pair_of[self.pairs.idx1] = pair_of[self.pairs.idx2] = np.arange(len(self.pairs))
+        return self.pair_distances[np.ix_(pair_of, pair_of)]
+
+    @cached_property
+    def positive_pairs(self) -> list:
+        return list(zip(self.pairs.idx1.tolist(), self.pairs.idx2.tolist()))
+
+    @cached_property
+    def per_combination(self) -> dict:
+        return dict(zip(map(tuple, self.combos.tolist()), self.distances.tolist()))
+
+    @cached_property
+    def per_pair_min(self) -> dict:
+        # Keyed in order of first appearance in the rows, as a scan inserts them.
+        minima = self.pair_min.tolist()
+        order = dict.fromkeys(self.pair_positions.ravel().tolist())
+        return {self.positive_pairs[p]: minima[p] for p in order}
 
 
 def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> OptimalDistanceTable:
     """Solve every cross-class combination and reduce per-pair minima.
 
-    All instances are solved in one stacked call; reductions run in fixed
-    lexicographic combination order, so the table is reproducible bit for
-    bit for a given batch.
+    All instances are solved in one stacked call; rows are in fixed
+    lexicographic pair order and minima keep the first minimising row, so
+    the table is reproducible bit for bit for a given batch.
     """
     if variant not in ("arc", "segment"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -142,18 +174,10 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
         raise NoNegatives("batch has a single class")
     pairs = build_pairs(batch)
     n_pairs = len(pairs)
-    combo_rows = []
-    pair_pos = []
-    for p in range(n_pairs):
-        for q in range(p + 1, n_pairs):
-            if pairs.labels[p] == pairs.labels[q]:
-                continue
-            combo_rows.append(
-                (pairs.idx1[p], pairs.idx2[p], pairs.idx1[q], pairs.idx2[q])
-            )
-            pair_pos.append((p, q))
-    combos = np.asarray(combo_rows, dtype=int).reshape(-1, 4)
-    pair_pos = np.asarray(pair_pos, dtype=int).reshape(-1, 2)
+    p, q = np.triu_indices(n_pairs, k=1)
+    cross = pairs.labels[p] != pairs.labels[q]
+    p, q = p[cross], q[cross]
+    combos = np.stack([pairs.idx1[p], pairs.idx2[p], pairs.idx1[q], pairs.idx2[q]], axis=1)
 
     emb = batch.embeddings
     solver = solve_arc_stack if variant == "arc" else solve_segment_stack
@@ -162,26 +186,21 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     )
     distances = solution.distance
 
-    positive_pairs = [(int(i), int(j)) for i, j in zip(pairs.idx1, pairs.idx2)]
-    per_combination = {}
-    per_pair_min = {}
-    for row, (p, q), dist in zip(combo_rows, pair_pos, distances):
-        key = tuple(int(v) for v in row)
-        per_combination[key] = float(dist)
-        for side in (int(p), int(q)):
-            pair_key = positive_pairs[side]
-            if pair_key not in per_pair_min or dist < per_pair_min[pair_key]:
-                per_pair_min[pair_key] = float(dist)
+    # Row index of each (pair, pair) entry; a row's index grows with the
+    # partner pair, so argmin's first minimum is also the first row.
+    row_of = np.full((n_pairs, n_pairs), -1)
+    row_of[p, q] = row_of[q, p] = np.arange(len(p))
+    pair_distances = np.where(row_of >= 0, distances[row_of], np.inf)
+    nearest = row_of[np.arange(n_pairs), np.argmin(pair_distances, axis=1)]
     return OptimalDistanceTable(
-        positive_pairs=positive_pairs,
-        per_combination=per_combination,
-        per_pair_min=per_pair_min,
         combos=combos,
-        pair_positions=pair_pos,
+        pair_positions=np.stack([p, q], axis=1),
         distances=distances,
         variant=variant,
         solution=solution,
         pairs=pairs,
+        pair_distances=pair_distances,
+        nearest=nearest,
     )
 
 

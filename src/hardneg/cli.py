@@ -96,6 +96,8 @@ def _load_instance(path):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"instance must hold numeric x1, x2, y1, y2: {exc}") from exc
+    if not all(np.all(np.isfinite(p)) for p in points):
+        raise ParseError(f"instance {path} holds a non-finite coordinate")
     return points, payload.get("variant", "arc")
 
 
@@ -243,6 +245,8 @@ def _load_experiment_config(path):
         raise ConfigError(f"unknown losses {unknown}; available: {sorted(LOSS_REGISTRY)}")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
+    if variant not in ("arc", "segment"):
+        raise ConfigError(f"unknown variant {variant!r}; available: ['arc', 'segment']")
     return spec, losses, config, steps, lr, seeds, variant
 
 
@@ -417,10 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sweep", 0) and not args.out_dir:
-        _error_payload(ParseError("--sweep requires --out-dir"))
-        return 2
     try:
+        if getattr(args, "sweep", 0) and not args.out_dir:
+            raise ParseError("--sweep requires --out-dir")
+        if not getattr(args, "resolution", 1.0) > 0.0:
+            raise ParseError(f"--resolution must be positive, got {args.resolution}")
         return args.func(args)
     except INPUT_ERRORS as exc:
         _error_payload(exc)

@@ -19,20 +19,24 @@ import numpy as np
 from .arc_solver import ArcProblem, KktSolution, active_set_margin
 from .batch_engine import LabeledBatch, build_pairs, optimal_distance_table
 from .errors import NondifferentiablePoint
-from .losses import (
+from .losses import (  # noqa: F401  ms_mining and loop_ms_mining are re-exported
     LossConfig,
+    hardest,
     loop_hphn,
     loop_ls,
     loop_ms,
     loop_ms_mining,
     loop_triplet,
+    ms_masks,
     ms_mining,
+    ms_weighting,
     pairwise,
 )
 from .losses import hphn_triplet as _hphn_loss
 from .losses import lifted_structure as _ls_loss
 from .losses import ms_loss as _ms_loss
 from .losses import triplet as _triplet_loss
+from .vectorized import SegmentStackSolution
 
 # Distances below this are treated as kinks of the norm; their gradient
 # contribution is dropped.
@@ -70,9 +74,11 @@ def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
     """Sum of weighted optimal-distance gradients, scattered over a table.
 
     Accumulates sum_c weights[c] * d(optimal distance_c)/d(embedding) for
-    every combination at once, applying per-combination pinning from the
-    winning cases. Combinations with zero weight or a vanishing distance
-    (a norm kink) contribute nothing.
+    every combination at once. Arc rows apply per-combination pinning from
+    the winning cases; segment rows hold k1 and k2 fixed, so the adjoints
+    of p1 = (1 - k1) x1 + k1 x2 and p2 = (1 - k2) y1 + k2 y2 are linear.
+    Combinations with zero weight or a vanishing distance (a norm kink)
+    contribute nothing.
     """
     grad = np.zeros_like(emb)
     sel = np.flatnonzero((np.asarray(weights) != 0) & (sol.distance > _TINY_DIST))
@@ -80,6 +86,25 @@ def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
         return grad
     w = np.asarray(weights, dtype=float)[sel][:, None]
     delta_hat = (sol.p1[sel] - sol.p2[sel]) / sol.distance[sel][:, None]
+    if isinstance(sol, SegmentStackSolution):
+        k1, k2 = sol.k1[sel][:, None], sol.k2[sel][:, None]
+        coefficients = (1.0 - k1, k1, -(1.0 - k2), -k2)
+        adjoints = (k * delta_hat for k in coefficients)
+    else:
+        adjoints = _arc_adjoints(emb, combos[sel], sol, sel, delta_hat)
+    # Adjoints are generated one column at a time and scattered at once,
+    # so at most one side's (C, D) temporaries are alive.
+    for col, g in enumerate(adjoints):
+        np.add.at(grad, combos[sel, col], w * g)
+    return grad
+
+
+def _arc_adjoints(emb, combos, sol, sel, delta_hat):
+    """Yield the arc adjoints for columns x1, x2, y1, y2 of the selected rows.
+
+    Pinned angles keep their endpoint identity (cases and collapsed sides);
+    free angles apply the Jacobians of the basis construction.
+    """
     case = sol.case_id[sel]
     sides = (
         (0, 1, sol.n2x, sol.dot_x, sol.res_x, sol.alpha,
@@ -88,33 +113,21 @@ def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
          (3, 5, 7), (4, 6, 8), sol.y_collapsed, -delta_hat),
     )
     for i_col, j_col, n2_all, c0_all, s_all, ang_all, low_cases, high_cases, col_all, dvec in sides:
-        idx1 = combos[sel, i_col]
-        idx2 = combos[sel, j_col]
         n2 = n2_all[sel]
         c0 = c0_all[sel][:, None]
         s = s_all[sel][:, None]
         ang = ang_all[sel][:, None]
         low = np.isin(case, low_cases) | col_all[sel]
         high = np.isin(case, high_cases) & ~low
-        x1r, x2r = emb[idx1], emb[idx2]
+        x1r, x2r = emb[combos[:, i_col]], emb[combos[:, j_col]]
         s_safe = np.where((low | high)[:, None], 1.0, s)
         dt = dvec - np.sum(dvec * n2, axis=1, keepdims=True) * n2
         dt_x1 = np.sum(dt * x1r, axis=1, keepdims=True)
         g1_free = np.cos(ang) * dvec + np.sin(ang) * (-dt_x1 * x2r - c0 * dt) / s_safe
         g2_free = np.sin(ang) * (dt - dt_x1 * x1r) / s_safe
         lowc, highc = low[:, None], high[:, None]
-        g1 = np.where(lowc, dvec, np.where(highc, 0.0, g1_free))
-        g2 = np.where(lowc, 0.0, np.where(highc, dvec, g2_free))
-        np.add.at(grad, idx1, w * g1)
-        np.add.at(grad, idx2, w * g2)
-    return grad
-
-
-def _unit_diff(emb, i, j, dist):
-    d = dist[i, j]
-    if d <= _TINY_DIST:
-        return None
-    return (emb[i] - emb[j]) / d
+        yield np.where(lowc, dvec, np.where(highc, 0.0, g1_free))
+        yield np.where(lowc, 0.0, np.where(highc, dvec, g2_free))
 
 
 def _norm_factor(batch, config, n_terms):
@@ -179,131 +192,79 @@ def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
     return loss, grad
 
 
-def _hardest_positive_arg(dist, labels, i, j):
-    best_val, best = -1.0, None
-    for anchor in (int(i), int(j)):
-        same = np.flatnonzero(labels == labels[anchor])
-        same = same[same != anchor]
-        if len(same):
-            k = int(same[np.argmax(dist[anchor, same])])
-            if dist[anchor, k] > best_val:
-                best_val, best = float(dist[anchor, k]), (anchor, k)
-    return best_val, best
+def _pair_loss_grad(batch, config, table, positive_is_distance):
+    """Shared gradient for HPHN (hardest positive) and LS (pair distance).
 
-
-def _hardest_negative_arg(dist, labels, i, j):
-    best_val, best = np.inf, None
-    for anchor in (int(i), int(j)):
-        diff = np.flatnonzero(labels != labels[anchor])
-        if len(diff):
-            k = int(diff[np.argmin(dist[anchor, diff])])
-            if dist[anchor, k] < best_val:
-                best_val, best = float(dist[anchor, k]), (anchor, k)
-    return best_val, best
-
-
-def _pair_loss_grad(batch, config, use_table, table, positive_is_distance):
-    """Shared gradient for HPHN (hardest positive) and LS (pair distance)."""
+    Without a table the hardest negative is mined from the batch; with one
+    it is each pair's nearest optimal distance. Each active pair adds the
+    signed unit vector of its positive (and mined negative) distance at
+    the first index and subtracts it at the second, in pair order.
+    """
     dist, _ = pairwise(batch)
     emb = batch.embeddings
-    labels = batch.labels
-    grad = np.zeros_like(emb)
-    m = config.margin
     pairs = build_pairs(batch)
-    pair_list = list(zip(pairs.idx1, pairs.idx2))
-    if use_table:
-        argmin_combo = {}
-        for c, (p, q) in enumerate(table.pair_positions):
-            for side in (int(p), int(q)):
-                key = table.positive_pairs[side]
-                if key not in argmin_combo or table.distances[c] < table.distances[
-                    argmin_combo[key]
-                ]:
-                    argmin_combo[key] = c
-    n_terms = 0
-    table_weights = np.zeros(len(table.combos)) if use_table else None
-    for i, j in pair_list:
-        i, j = int(i), int(j)
-        n_terms += 1
-        if positive_is_distance:
-            hp = float(dist[i, j])
-            hp_arg = (i, j)
-        else:
-            hp, hp_arg = _hardest_positive_arg(dist, labels, i, j)
-        if use_table:
-            hn = table.per_pair_min[(i, j)]
-        else:
-            hn, hn_arg = _hardest_negative_arg(dist, labels, i, j)
-        if hp + m - hn <= 0.0:
-            continue
-        u = _unit_diff(emb, hp_arg[0], hp_arg[1], dist)
-        if u is not None:
-            grad[hp_arg[0]] += u
-            grad[hp_arg[1]] -= u
-        if use_table:
-            table_weights[argmin_combo[(i, j)]] += 1.0
-        else:
-            u = _unit_diff(emb, hn_arg[0], hn_arg[1], dist)
-            if u is not None:
-                grad[hn_arg[0]] -= u
-                grad[hn_arg[1]] += u
-    if use_table:
-        grad -= optimal_distance_grad_stack(emb, table.combos, table.solution, table_weights)
-    grad /= _norm_factor(batch, config, n_terms)
+    if positive_is_distance:
+        hp, hp_a, hp_b = dist[pairs.idx1, pairs.idx2], pairs.idx1, pairs.idx2
+    else:
+        hp, hp_a, hp_b = hardest(dist, batch.labels, pairs, positive=True)
+    heads, tails, signs = [hp_a], [hp_b], [1.0]
+    if table is None:
+        hn, hn_a, hn_b = hardest(dist, batch.labels, pairs, positive=False)
+        heads.append(hn_a)
+        tails.append(hn_b)
+        signs.append(-1.0)
+    else:
+        hn = table.pair_min
+    active = hp + config.margin - hn > 0.0
+    heads, tails = np.stack(heads, axis=1), np.stack(tails, axis=1)  # (P, terms)
+    d = dist[heads, tails]
+    keep = active[:, None] & (d > _TINY_DIST)
+    sign = np.broadcast_to(signs, keep.shape)[keep][:, None]
+    u = sign * (emb[heads[keep]] - emb[tails[keep]]) / d[keep][:, None]
+    grad = np.zeros_like(emb)
+    np.add.at(grad, np.stack([heads[keep], tails[keep]], axis=1).ravel(),
+              np.stack([u, -u], axis=1).reshape(-1, emb.shape[1]))
+    if table is not None:
+        weights = np.bincount(table.nearest[active], minlength=len(table.combos))
+        grad -= optimal_distance_grad_stack(emb, table.combos, table.solution, weights)
+    grad /= _norm_factor(batch, config, len(pairs))
     return grad
 
 
 def hphn_grad(batch: LabeledBatch, config: LossConfig):
     loss = _hphn_loss(batch, config)
-    return loss, _pair_loss_grad(batch, config, False, None, False)
+    return loss, _pair_loss_grad(batch, config, None, False)
 
 
 def loop_hphn_grad(batch: LabeledBatch, table, config: LossConfig):
     loss = loop_hphn(batch, table, config)
-    return loss, _pair_loss_grad(batch, config, True, table, False)
+    return loss, _pair_loss_grad(batch, config, table, False)
 
 
 def ls_grad(batch: LabeledBatch, config: LossConfig):
     loss = _ls_loss(batch, config)
-    return loss, _pair_loss_grad(batch, config, False, None, True)
+    return loss, _pair_loss_grad(batch, config, None, True)
 
 
 def loop_ls_grad(batch: LabeledBatch, table, config: LossConfig):
     loss = loop_ls(batch, table, config)
-    return loss, _pair_loss_grad(batch, config, True, table, True)
+    return loss, _pair_loss_grad(batch, config, table, True)
 
 
-def _ms_grad_from_mined(batch, config, mined):
-    """Weighting-stage gradient; the mined sets are frozen."""
+def _ms_grad(batch, config, table=None):
+    """Weighting-stage gradient W E + W^T E; the mined sets are frozen."""
     _, sim = pairwise(batch)
+    _, weights = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
     emb = batch.embeddings
-    grad = np.zeros_like(emb)
-    lam = config.ms_margin
-    for i in range(batch.batch_size):
-        pos = np.asarray(mined[i]["positives"], dtype=int)
-        neg = np.asarray(mined[i]["negatives"], dtype=int)
-        if len(pos):
-            w = np.exp(-config.ms_alpha * (sim[i, pos] - lam))
-            w = -w / (1.0 + np.sum(w))
-            grad[i] += w @ emb[pos]
-            grad[pos] += np.outer(w, emb[i])
-        if len(neg):
-            w = np.exp(config.ms_beta * (sim[i, neg] - lam))
-            w = w / (1.0 + np.sum(w))
-            grad[i] += w @ emb[neg]
-            grad[neg] += np.outer(w, emb[i])
-    grad /= _norm_factor(batch, config, batch.batch_size)
-    return grad
+    return (weights @ emb + weights.T @ emb) / _norm_factor(batch, config, batch.batch_size)
 
 
 def ms_grad(batch: LabeledBatch, config: LossConfig):
-    loss = _ms_loss(batch, config)
-    return loss, _ms_grad_from_mined(batch, config, ms_mining(batch, config))
+    return _ms_loss(batch, config), _ms_grad(batch, config)
 
 
 def loop_ms_grad(batch: LabeledBatch, table, config: LossConfig):
-    loss = loop_ms(batch, table, config)
-    return loss, _ms_grad_from_mined(batch, config, loop_ms_mining(batch, table, config))
+    return loop_ms(batch, table, config), _ms_grad(batch, config, table)
 
 
 # Losses available to the trainer: name -> (needs table, function).

@@ -14,11 +14,13 @@ are supported).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .batch_engine import LabeledBatch, OptimalDistanceTable, build_pairs
+from .batch_engine import LabeledBatch, OptimalDistanceTable, PairSet, build_pairs
 from .errors import NoNegatives
 
 
@@ -46,10 +48,19 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossValue:
-    """Total loss plus per-term contributions for diagnostics."""
+    """Total loss plus per-term contributions for diagnostics.
+
+    terms holds the contributions in term order; per_term pairs them with
+    their keys, built by calling keys(), and is only formed when read.
+    """
 
     total: float
-    per_term: tuple
+    terms: np.ndarray = field(repr=False, compare=False)
+    keys: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def per_term(self) -> tuple:
+        return tuple(zip(self.keys(), self.terms.tolist()))
 
 
 def export_loss_csv(value: LossValue, path) -> None:
@@ -71,8 +82,8 @@ def pairwise(batch: LabeledBatch):
     return dist, sim
 
 
-def hinge(x: float) -> float:
-    return x if x > 0.0 else 0.0
+def hinge(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, 0.0)
 
 
 def _require_negatives(batch: LabeledBatch) -> None:
@@ -80,13 +91,18 @@ def _require_negatives(batch: LabeledBatch) -> None:
         raise NoNegatives("batch has a single class")
 
 
-def _finish(terms, batch: LabeledBatch, config: LossConfig) -> LossValue:
+def _finish(terms, keys, batch: LabeledBatch, config: LossConfig) -> LossValue:
     if config.normalization == "classes":
         norm = batch.num_classes()
     else:
         norm = max(len(terms), 1)
-    total = sum(value for _, value in terms) / norm
-    return LossValue(total=float(total), per_term=tuple(terms))
+    return LossValue(total=float(np.sum(terms) / norm), terms=terms, keys=keys)
+
+
+def _pair_terms(values, pairs: PairSet, batch, config) -> LossValue:
+    """One hinge term per positive pair, keyed (i, j)."""
+    return _finish(hinge(values), lambda: zip(pairs.idx1.tolist(), pairs.idx2.tolist()),
+                   batch, config)
 
 
 def triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -94,13 +110,12 @@ def triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
     _require_negatives(batch)
     dist, _ = pairwise(batch)
     pairs = build_pairs(batch)
-    m = config.margin
-    terms = []
-    for i, j in zip(pairs.idx1, pairs.idx2):
-        d_pos = dist[i, j]
-        for k in np.flatnonzero(batch.labels != batch.labels[i]):
-            terms.append(((int(i), int(j), int(k)), hinge(d_pos - dist[i, k] + m)))
-    return _finish(terms, batch, config)
+    i, j = pairs.idx1, pairs.idx2
+    negative = batch.labels[i][:, None] != batch.labels[None, :]
+    values = dist[i, j][:, None] - dist[i] + config.margin
+    rows, k = np.nonzero(negative)
+    return _finish(hinge(values[negative]),
+                   lambda: zip(i[rows].tolist(), j[rows].tolist(), k.tolist()), batch, config)
 
 
 def loop_triplet(
@@ -113,33 +128,39 @@ def loop_triplet(
     """
     _require_negatives(batch)
     dist, _ = pairwise(batch)
-    m = config.margin
-    terms = []
-    for (i, j, k, l), d_opt in table.per_combination.items():
-        terms.append((((i, j), (k, l)), hinge(dist[i, j] - d_opt + m)))
-        terms.append((((k, l), (i, j)), hinge(dist[k, l] - d_opt + m)))
-    return _finish(terms, batch, config)
+    i, j, k, l = table.combos.T
+    d_opt = table.distances
+    values = np.stack([dist[i, j] - d_opt, dist[k, l] - d_opt], axis=1) + config.margin
+
+    def keys():
+        for a, b, c, d in table.combos.tolist():
+            yield ((a, b), (c, d))
+            yield ((c, d), (a, b))
+
+    return _finish(hinge(values.ravel()), keys, batch, config)
 
 
-def _hardest_positive(dist, labels, i, j):
-    """Farthest same-class distance seen from either pair member."""
-    best = 0.0
-    for anchor in (i, j):
-        same = np.flatnonzero(labels == labels[anchor])
-        same = same[same != anchor]
-        if len(same):
-            best = max(best, float(np.max(dist[anchor, same])))
-    return best
+def hardest(dist, labels, pairs: PairSet, positive: bool):
+    """Per pair, the hardest distance seen from either member, and its arguments.
 
-
-def _hardest_negative(dist, labels, i, j):
-    """Nearest different-class distance seen from either pair member."""
-    best = np.inf
-    for anchor in (i, j):
-        diff = np.flatnonzero(labels != labels[anchor])
-        if len(diff):
-            best = min(best, float(np.min(dist[anchor, diff])))
-    return best
+    The hardest positive is the farthest same-class sample (the anchor
+    excluded), the hardest negative the nearest other-class one. Returns
+    (values, anchors, samples); ties keep the first member and the lowest
+    sample index.
+    """
+    anchors = np.stack([pairs.idx1, pairs.idx2])  # (2, P)
+    candidates = labels[anchors][..., None] == labels
+    if positive:
+        candidates &= anchors[..., None] != np.arange(len(labels))
+        rows = np.where(candidates, dist[anchors], -np.inf)
+        samples = np.argmax(rows, axis=2)
+    else:
+        rows = np.where(candidates, np.inf, dist[anchors])
+        samples = np.argmin(rows, axis=2)
+    values = np.take_along_axis(rows, samples[..., None], axis=2)[..., 0]
+    second = values[1] > values[0] if positive else values[1] < values[0]
+    side = second.astype(int), np.arange(len(pairs))
+    return values[side], anchors[side], samples[side]
 
 
 def hphn_triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -147,14 +168,9 @@ def hphn_triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
     _require_negatives(batch)
     dist, _ = pairwise(batch)
     pairs = build_pairs(batch)
-    labels = batch.labels
-    m = config.margin
-    terms = []
-    for i, j in zip(pairs.idx1, pairs.idx2):
-        hp = _hardest_positive(dist, labels, i, j)
-        hn = _hardest_negative(dist, labels, i, j)
-        terms.append(((int(i), int(j)), hinge(hp + m - hn)))
-    return _finish(terms, batch, config)
+    hp = hardest(dist, batch.labels, pairs, positive=True)[0]
+    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
+    return _pair_terms(hp + config.margin - hn, pairs, batch, config)
 
 
 def loop_hphn(
@@ -163,14 +179,8 @@ def loop_hphn(
     """HPHN with the mined negative replaced by the per-pair optimal minimum."""
     _require_negatives(batch)
     dist, _ = pairwise(batch)
-    labels = batch.labels
-    m = config.margin
-    terms = []
-    for i, j in table.positive_pairs:
-        hp = _hardest_positive(dist, labels, i, j)
-        hn = table.per_pair_min[(i, j)]
-        terms.append(((i, j), hinge(hp + m - hn)))
-    return _finish(terms, batch, config)
+    hp = hardest(dist, batch.labels, table.pairs, positive=True)[0]
+    return _pair_terms(hp + config.margin - table.pair_min, table.pairs, batch, config)
 
 
 def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -178,13 +188,8 @@ def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
     _require_negatives(batch)
     dist, _ = pairwise(batch)
     pairs = build_pairs(batch)
-    labels = batch.labels
-    m = config.margin
-    terms = []
-    for i, j in zip(pairs.idx1, pairs.idx2):
-        hn = _hardest_negative(dist, labels, i, j)
-        terms.append(((int(i), int(j)), hinge(dist[i, j] + m - hn)))
-    return _finish(terms, batch, config)
+    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
+    return _pair_terms(dist[pairs.idx1, pairs.idx2] + config.margin - hn, pairs, batch, config)
 
 
 def loop_ls(
@@ -193,57 +198,46 @@ def loop_ls(
     """Lifted structure with the optimal per-pair minimum as the negative."""
     _require_negatives(batch)
     dist, _ = pairwise(batch)
-    m = config.margin
-    terms = []
-    for i, j in table.positive_pairs:
-        hn = table.per_pair_min[(i, j)]
-        terms.append(((i, j), hinge(dist[i, j] + m - hn)))
-    return _finish(terms, batch, config)
+    pairs = table.pairs
+    d_pos = dist[pairs.idx1, pairs.idx2]
+    return _pair_terms(d_pos + config.margin - table.pair_min, pairs, batch, config)
 
 
-def ms_mining(batch: LabeledBatch, config: LossConfig) -> dict:
-    """Plain multi-similarity mining: per anchor, kept positives/negatives.
+def ms_masks(labels, sim, config: LossConfig, table: OptimalDistanceTable | None = None):
+    """(B, B) masks of the positives and negatives mined for each anchor row.
 
     A negative j survives when s_ij > (min same-class similarity) - epsilon;
     a positive j survives when s_ij < (max different-class similarity) +
-    epsilon. Ties on the strict inequalities are excluded.
+    epsilon. Ties on the strict inequalities are excluded. With a table,
+    the negative test reads the optimal similarity 1 - d_opt^2 / 2 of the
+    pairs holding i and j instead; thresholds and positives are unchanged.
     """
+    different = labels[:, None] != labels[None, :]
+    same = ~different
+    np.fill_diagonal(same, False)
+    neg_threshold = np.where(same, sim, np.inf).min(axis=1) - config.ms_epsilon
+    pos_threshold = np.where(different, sim, -np.inf).max(axis=1) + config.ms_epsilon
+    positives = same & (sim < pos_threshold[:, None])
+    if table is not None:
+        d_opt = table.sample_distances()
+        sim = 1.0 - d_opt * d_opt / 2.0
+    negatives = different & (sim > neg_threshold[:, None])
+    return positives, negatives
+
+
+def _mined(positives, negatives) -> dict:
+    return {
+        i: {"positives": tuple(np.flatnonzero(pos).tolist()),
+            "negatives": tuple(np.flatnonzero(neg).tolist())}
+        for i, (pos, neg) in enumerate(zip(positives, negatives))
+    }
+
+
+def ms_mining(batch: LabeledBatch, config: LossConfig) -> dict:
+    """Plain multi-similarity mining: per anchor, kept positives/negatives."""
     _require_negatives(batch)
     _, sim = pairwise(batch)
-    labels = batch.labels
-    mined = {}
-    for i in range(batch.batch_size):
-        same = np.flatnonzero(labels == labels[i])
-        same = same[same != i]
-        diff = np.flatnonzero(labels != labels[i])
-        if len(same) == 0 or len(diff) == 0:
-            mined[i] = {"positives": (), "negatives": ()}
-            continue
-        neg_threshold = float(np.min(sim[i, same])) - config.ms_epsilon
-        pos_threshold = float(np.max(sim[i, diff])) + config.ms_epsilon
-        mined[i] = {
-            "positives": tuple(int(j) for j in same if sim[i, j] < pos_threshold),
-            "negatives": tuple(int(j) for j in diff if sim[i, j] > neg_threshold),
-        }
-    return mined
-
-
-def _optimal_similarity_lookup(batch: LabeledBatch, table: OptimalDistanceTable):
-    """s(i, k) = 1 - d_opt^2 / 2 for the pairs containing samples i and k."""
-    pair_of_sample = {}
-    for pos, (i, j) in enumerate(table.positive_pairs):
-        pair_of_sample[i] = pos
-        pair_of_sample[j] = pos
-    by_positions = {}
-    for (p, q), dist in zip(table.pair_positions, table.distances):
-        by_positions[(int(p), int(q))] = float(dist)
-
-    def lookup(i: int, k: int) -> float:
-        p, q = pair_of_sample[i], pair_of_sample[k]
-        d = by_positions[(p, q) if p < q else (q, p)]
-        return 1.0 - d * d / 2.0
-
-    return lookup
+    return _mined(*ms_masks(batch.labels, sim, config))
 
 
 def loop_ms_mining(
@@ -255,51 +249,40 @@ def loop_ms_mining(
     similarity (from the pair-of-pairs distance) is compared against the
     plain threshold. Positive selection is untouched.
     """
-    mined = ms_mining(batch, config)
+    _require_negatives(batch)
     _, sim = pairwise(batch)
-    labels = batch.labels
-    lookup = _optimal_similarity_lookup(batch, table)
-    for i in range(batch.batch_size):
-        same = np.flatnonzero(labels == labels[i])
-        same = same[same != i]
-        diff = np.flatnonzero(labels != labels[i])
-        if len(same) == 0 or len(diff) == 0:
-            continue
-        neg_threshold = float(np.min(sim[i, same])) - config.ms_epsilon
-        mined[i]["negatives"] = tuple(
-            int(k) for k in diff if lookup(i, int(k)) > neg_threshold
-        )
-    return mined
+    return _mined(*ms_masks(batch.labels, sim, config, table))
 
 
-def _ms_weighting(batch: LabeledBatch, config: LossConfig, mined: dict) -> LossValue:
-    """Log-sum-exp pair weighting over mined sets; empty sets contribute 0."""
-    _, sim = pairwise(batch)
+def ms_weighting(sim, positives, negatives, config: LossConfig):
+    """Log-sum-exp pair weighting over mined sets; empty sets contribute 0.
+
+    Returns the per-anchor terms and the (B, B) weights W with
+    d term_i = sum_j W_ij d s_ij, the mined sets held fixed.
+    """
     lam = config.ms_margin
-    terms = []
-    for i in range(batch.batch_size):
-        pos = np.asarray(mined[i]["positives"], dtype=int)
-        neg = np.asarray(mined[i]["negatives"], dtype=int)
-        value = 0.0
-        if len(pos):
-            value += np.log1p(
-                np.sum(np.exp(-config.ms_alpha * (sim[i, pos] - lam)))
-            ) / config.ms_alpha
-        if len(neg):
-            value += np.log1p(
-                np.sum(np.exp(config.ms_beta * (sim[i, neg] - lam)))
-            ) / config.ms_beta
-        terms.append((i, float(value)))
-    return _finish(terms, batch, config)
+    e_pos = np.where(positives, np.exp(-config.ms_alpha * (sim - lam)), 0.0)
+    e_neg = np.where(negatives, np.exp(config.ms_beta * (sim - lam)), 0.0)
+    sum_pos = e_pos.sum(axis=1, keepdims=True)
+    sum_neg = e_neg.sum(axis=1, keepdims=True)
+    terms = np.log1p(sum_pos[:, 0]) / config.ms_alpha + np.log1p(sum_neg[:, 0]) / config.ms_beta
+    return terms, e_neg / (1.0 + sum_neg) - e_pos / (1.0 + sum_pos)
+
+
+def _ms_value(batch, config, table=None) -> LossValue:
+    _require_negatives(batch)
+    _, sim = pairwise(batch)
+    terms, _ = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
+    return _finish(terms, lambda: range(len(terms)), batch, config)
 
 
 def ms_loss(batch: LabeledBatch, config: LossConfig) -> LossValue:
     """Multi-similarity loss: mine, then weight."""
-    return _ms_weighting(batch, config, ms_mining(batch, config))
+    return _ms_value(batch, config)
 
 
 def loop_ms(
     batch: LabeledBatch, table: OptimalDistanceTable, config: LossConfig
 ) -> LossValue:
     """Multi-similarity loss over the optimally mined negative sets."""
-    return _ms_weighting(batch, config, loop_ms_mining(batch, table, config))
+    return _ms_value(batch, config, table)

@@ -178,3 +178,20 @@ def test_csv_and_json_io(tmp_path, rng):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "i,j,k,l,distance"
     assert len(lines) == 1 + len(table.combos)
+
+
+def test_non_finite_embeddings_rejected(tmp_path, rng):
+    emb = unit_rows(rng, 4, 3)
+    for bad in (np.nan, np.inf):
+        emb_bad = emb.copy()
+        emb_bad[2, 1] = bad
+        with pytest.raises(InvalidBatchShape):
+            LabeledBatch.from_arrays(emb_bad, np.array([0, 0, 1, 1]))
+    csv_path = tmp_path / "nan.csv"
+    csv_path.write_text("0,1,0\n0,0,1\n1,nan,1\n1,1,1\n")
+    with pytest.raises(InvalidBatchShape):
+        load_batch_csv(csv_path)
+    json_path = tmp_path / "nan.json"
+    json_path.write_text('{"labels": [0, 0, 1, 1], "embeddings": [[1, 0], [0, 1], [NaN, 1], [1, 1]]}')
+    with pytest.raises(InvalidBatchShape):
+        load_batch_json(json_path)

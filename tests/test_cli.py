@@ -191,3 +191,33 @@ def test_solve_out_dir_writes_solution_and_manifest(tmp_path, capsys):
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "solve"
     assert manifest["seed"] == 0
+
+
+def test_non_finite_instance_is_input_error(tmp_path, capsys):
+    instance = tmp_path / "nan.json"
+    instance.write_text('{"x1": [NaN, 0, 0], "x2": [0, 1, 0], "y1": [0, 0, 1], "y2": [1, 1, 0]}')
+    for command in ("solve", "oracle"):
+        code, out = run_cli(capsys, command, str(instance))
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
+
+
+def test_oracle_zero_resolution_is_input_error(tmp_path, capsys):
+    instance = write_instance(
+        tmp_path / "inst.json", ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0])
+    )
+    for argv in (
+        ("oracle", str(instance), "--resolution", "0"),
+        ("oracle", "--sweep", "2", "--resolution", "0", "--out-dir", str(tmp_path / "s")),
+    ):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "ParseError"
+
+
+def test_experiment_unknown_variant(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"losses": ["loop_triplet"], "steps": 1, "variant": "cone"}))
+    code, out = run_cli(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "x"))
+    assert code == 2
+    assert json.loads(out)["error"] == "ConfigError"

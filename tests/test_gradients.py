@@ -152,29 +152,44 @@ def test_finite_diff_constant_loss(rng):
     assert np.all(grad == 0.0)
 
 
+GRADIENT_TOLERANCES = {
+    "triplet": 1e-4,
+    "hphn_triplet": 1e-4,
+    "lifted_structure": 1e-4,
+    "ms": 1e-4,
+    "loop_triplet": 1e-3,
+    "loop_hphn": 1e-3,
+    "loop_ls": 1e-3,
+    "loop_ms": 1e-3,
+}
+
+
+def gradient_batches():
+    """Three class-grouped batches and one with interleaved labels."""
+    for seed in range(3):
+        yield random_batch(np.random.default_rng(seed + 31), num_classes=3,
+                           per_class=4, dim=6)
+    rng = np.random.default_rng(37)
+    grouped = random_batch(rng, num_classes=3, per_class=4, dim=6)
+    order = rng.permutation(grouped.batch_size)
+    yield LabeledBatch.from_arrays(grouped.embeddings[order], grouped.labels[order])
+
+
 @pytest.mark.parametrize(
-    "name,tol",
-    [
-        ("triplet", 1e-4),
-        ("hphn_triplet", 1e-4),
-        ("lifted_structure", 1e-4),
-        ("ms", 1e-4),
-        ("loop_triplet", 1e-3),
-        ("loop_hphn", 1e-3),
-        ("loop_ls", 1e-3),
-        ("loop_ms", 1e-3),
-    ],
+    "name,tol,variant",
+    [pytest.param(name, tol, "arc", id=f"{name}-{tol}")
+     for name, tol in GRADIENT_TOLERANCES.items()]
+    + [pytest.param(name, tol, "segment", id=f"{name}-segment")
+       for name, tol in GRADIENT_TOLERANCES.items() if name.startswith("loop_")],
 )
-def test_batch_loss_gradients(name, tol, rng):
+def test_batch_loss_gradients(name, tol, variant):
     cfg = LossConfig(margin=0.4)
     worst = 0.0
-    for seed in range(3):
-        batch = random_batch(np.random.default_rng(seed + 31), num_classes=3,
-                             per_class=4, dim=6)
-        _, grad = loss_and_grad(name, batch, cfg)
+    for batch in gradient_batches():
+        _, grad = loss_and_grad(name, batch, cfg, variant)
         tangent = project_tangent(batch.embeddings, grad)
         for idx in (0, 7):
-            fd = finite_diff_grad(lambda b: evaluate_loss(name, b, cfg), batch, idx)
+            fd = finite_diff_grad(lambda b: evaluate_loss(name, b, cfg, variant), batch, idx)
             denom = max(np.linalg.norm(fd), 1e-10)
             if denom > 1e-8:
                 worst = max(worst, np.linalg.norm(tangent[idx] - fd) / denom)

@@ -11,6 +11,7 @@ from hardneg import (
     lifted_structure,
     loop_hphn,
     loop_ls,
+    loop_ms,
     loop_ms_mining,
     loop_triplet,
     ms_loss,
@@ -85,6 +86,88 @@ def brute_ms(batch, cfg):
             ) / cfg.ms_beta
         total += value
     return total / n
+
+
+def _optimal_negatives(table, pair):
+    """Optimal distances of every combination holding `pair` on either side."""
+    return [d for key, d in table.per_combination.items() if pair in (key[:2], key[2:])]
+
+
+def _normalized(terms, batch, cfg):
+    norm = batch.num_classes() if cfg.normalization == "classes" else len(terms)
+    return sum(terms) / norm
+
+
+def brute_loop_hphn(batch, table, cfg):
+    dist, _ = pairwise(batch)
+    labels = batch.labels
+    terms = []
+    pairs = build_pairs(batch)
+    for i, j in zip(pairs.idx1, pairs.idx2):
+        pos = [dist[a, k] for a in (i, j) for k in range(batch.batch_size)
+               if labels[k] == labels[a] and k != a]
+        hn = min(_optimal_negatives(table, (int(i), int(j))))
+        terms.append(max(0.0, max(pos) + cfg.margin - hn))
+    return _normalized(terms, batch, cfg)
+
+
+def brute_loop_ls(batch, table, cfg):
+    dist, _ = pairwise(batch)
+    terms = []
+    pairs = build_pairs(batch)
+    for i, j in zip(pairs.idx1, pairs.idx2):
+        hn = min(_optimal_negatives(table, (int(i), int(j))))
+        terms.append(max(0.0, dist[i, j] + cfg.margin - hn))
+    return _normalized(terms, batch, cfg)
+
+
+def brute_loop_ms(batch, table, cfg):
+    _, sim = pairwise(batch)
+    labels = batch.labels
+    n = batch.batch_size
+    pairs = build_pairs(batch)
+    pair_of = {}
+    for i, j in zip(pairs.idx1, pairs.idx2):
+        pair_of[int(i)] = pair_of[int(j)] = (int(i), int(j))
+
+    def optimal_sim(i, k):
+        key = {pair_of[i], pair_of[k]}
+        (d,) = [d for c, d in table.per_combination.items() if {c[:2], c[2:]} == key]
+        return 1.0 - d * d / 2.0
+
+    terms = []
+    for i in range(n):
+        same = [j for j in range(n) if labels[j] == labels[i] and j != i]
+        diff = [j for j in range(n) if labels[j] != labels[i]]
+        neg_thr = min(sim[i, j] for j in same) - cfg.ms_epsilon
+        pos_thr = max(sim[i, j] for j in diff) + cfg.ms_epsilon
+        pos = [j for j in same if sim[i, j] < pos_thr]
+        neg = [j for j in diff if optimal_sim(i, j) > neg_thr]
+        value = 0.0
+        if pos:
+            value += math.log1p(
+                sum(math.exp(-cfg.ms_alpha * (sim[i, j] - cfg.ms_margin)) for j in pos)
+            ) / cfg.ms_alpha
+        if neg:
+            value += math.log1p(
+                sum(math.exp(cfg.ms_beta * (sim[i, j] - cfg.ms_margin)) for j in neg)
+            ) / cfg.ms_beta
+        terms.append(value)
+    return _normalized(terms, batch, cfg)
+
+
+@pytest.mark.parametrize("normalization", ["terms", "classes"])
+def test_loop_losses_match_enumeration(normalization, rng):
+    cfg = LossConfig(margin=0.4, normalization=normalization)
+    for trial in range(10):
+        batch = random_batch(rng, num_classes=3, per_class=4, dim=5)
+        if trial % 2:  # interleaved labels pair non-adjacent samples
+            order = rng.permutation(batch.batch_size)
+            batch = LabeledBatch.from_arrays(batch.embeddings[order], batch.labels[order])
+        table = optimal_distance_table(batch)
+        assert abs(loop_hphn(batch, table, cfg).total - brute_loop_hphn(batch, table, cfg)) < 1e-12
+        assert abs(loop_ls(batch, table, cfg).total - brute_loop_ls(batch, table, cfg)) < 1e-12
+        assert abs(loop_ms(batch, table, cfg).total - brute_loop_ms(batch, table, cfg)) < 1e-12
 
 
 def test_pairwise_trivials():
