@@ -37,6 +37,7 @@ from .errors import (
     NearZeroVector,
     NondifferentiablePoint,
     NoNegatives,
+    NonFiniteInput,
     OddClassCount,
     ParseError,
 )

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidBatchShape, NoNegatives, OddClassCount, ParseError
-from .vectorized import solve_arc_stack, solve_segment_stack
+# solve_arc_stack is re-exported: callers reach the row solver through this module.
+from .vectorized import solve_arc_gram, solve_arc_stack, solve_segment_stack  # noqa: F401
 
 
 @dataclass
@@ -119,7 +120,9 @@ class OptimalDistanceTable:
 
     combos holds rows (i, j, k, l) in lexicographic order and pair_positions
     the two positive pairs of each row; solution is the stacked solver
-    output aligned with combos, kept for gradient formation.
+    output aligned with combos, kept for gradient formation. Arc tables
+    are solved from gram, the (B, B) matrix of embedding dots, and hold no
+    per-row embedding copies.
     pair_distances is the (P, P) optimal distance between positive pairs
     (+inf within a class and on the diagonal) and nearest the first row
     attaining each pair's minimum. The dict views positive_pairs,
@@ -132,6 +135,7 @@ class OptimalDistanceTable:
     variant: str
     solution: object = field(repr=False)
     pairs: PairSet = field(repr=False)
+    gram: np.ndarray | None = field(repr=False)
     pair_distances: np.ndarray = field(repr=False)
     nearest: np.ndarray = field(repr=False)
 
@@ -180,10 +184,12 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     combos = np.stack([pairs.idx1[p], pairs.idx2[p], pairs.idx1[q], pairs.idx2[q]], axis=1)
 
     emb = batch.embeddings
-    solver = solve_arc_stack if variant == "arc" else solve_segment_stack
-    solution = solver(
-        emb[combos[:, 0]], emb[combos[:, 1]], emb[combos[:, 2]], emb[combos[:, 3]]
-    )
+    if variant == "arc":
+        gram = emb @ emb.T
+        solution = solve_arc_gram(emb, gram, combos)
+    else:
+        gram = None
+        solution = solve_segment_stack(*(emb[combos[:, col]] for col in range(4)))
     distances = solution.distance
 
     # Row index of each (pair, pair) entry; a row's index grows with the
@@ -199,6 +205,7 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
         variant=variant,
         solution=solution,
         pairs=pairs,
+        gram=gram,
         pair_distances=pair_distances,
         nearest=nearest,
     )

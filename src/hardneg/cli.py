@@ -30,6 +30,7 @@ from .errors import (
     HardNegError,
     InvalidBatchShape,
     NearZeroVector,
+    NonFiniteInput,
     OddClassCount,
     ParseError,
 )
@@ -47,11 +48,13 @@ INPUT_ERRORS = (
     DegenerateSegment,
     DimensionMismatch,
     NearZeroVector,
+    NonFiniteInput,
     InvalidBatchShape,
     OddClassCount,
 )
 
 SWEEP_DIMS = (3, 8, 64, 512)
+VARIANTS = ("arc", "segment")
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,10 @@ def _load_instance(path):
         raise ParseError(f"instance must hold numeric x1, x2, y1, y2: {exc}") from exc
     if not all(np.all(np.isfinite(p)) for p in points):
         raise ParseError(f"instance {path} holds a non-finite coordinate")
-    return points, payload.get("variant", "arc")
+    variant = payload.get("variant", "arc")
+    if variant not in VARIANTS:
+        raise ParseError(f"unknown variant {variant!r} in {path}; available: {list(VARIANTS)}")
+    return points, variant
 
 
 def _emit(payload) -> None:
@@ -245,8 +251,8 @@ def _load_experiment_config(path):
         raise ConfigError(f"unknown losses {unknown}; available: {sorted(LOSS_REGISTRY)}")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
-    if variant not in ("arc", "segment"):
-        raise ConfigError(f"unknown variant {variant!r}; available: ['arc', 'segment']")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
     return spec, losses, config, steps, lr, seeds, variant
 
 
@@ -391,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance in closed form")
     solve.add_argument("instance")
-    solve.add_argument("--variant", choices=["arc", "segment"], default=None)
+    solve.add_argument("--variant", choices=VARIANTS, default=None)
     solve.add_argument("--out-dir", default=None)
     solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=cmd_solve)
 
     oracle = sub.add_parser("oracle", help="grid-search an instance or sweep")
     oracle.add_argument("instance", nargs="?", default=None)
-    oracle.add_argument("--variant", choices=["arc", "segment"], default=None)
+    oracle.add_argument("--variant", choices=VARIANTS, default=None)
     oracle.add_argument("--resolution", type=float, default=1e-3)
     oracle.add_argument("--sweep", type=int, default=0, metavar="N")
     oracle.add_argument("--out-dir", default=None)

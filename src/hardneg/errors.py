@@ -17,6 +17,10 @@ class DegenerateSegment(HardNegError):
     """Both segments collapse to points."""
 
 
+class NonFiniteInput(HardNegError):
+    """A coordinate handed to a solver is NaN or infinite."""
+
+
 class DimensionMismatch(HardNegError):
     """Vectors of different dimension mixed in one problem."""
 

@@ -36,7 +36,7 @@ from .losses import hphn_triplet as _hphn_loss
 from .losses import lifted_structure as _ls_loss
 from .losses import ms_loss as _ms_loss
 from .losses import triplet as _triplet_loss
-from .vectorized import SegmentStackSolution
+from .vectorized import EXPLICIT_NORM_BELOW, SegmentStackSolution
 
 # Distances below this are treated as kinks of the norm; their gradient
 # contribution is dropped.
@@ -70,64 +70,115 @@ def arc_point_adjoints(
     return g_x1, g_x2
 
 
-def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
-    """Sum of weighted optimal-distance gradients, scattered over a table.
+def _square(n: int, rows, cols, values) -> np.ndarray:
+    """(n, n) matrix of the values summed at their (row, col) entries."""
+    flat = np.bincount(np.ravel(rows * n + cols), weights=np.ravel(values), minlength=n * n)
+    return flat.reshape(n, n)
 
-    Accumulates sum_c weights[c] * d(optimal distance_c)/d(embedding) for
-    every combination at once. Arc rows apply per-combination pinning from
-    the winning cases; segment rows hold k1 and k2 fixed, so the adjoints
-    of p1 = (1 - k1) x1 + k1 x2 and p2 = (1 - k2) y1 + k2 y2 are linear.
-    Combinations with zero weight or a vanishing distance (a norm kink)
-    contribute nothing.
+
+def chord_grad(emb, dist, weights) -> np.ndarray:
+    """Gradient of sum_ab weights[a, b] * |e_a - e_b| as one (B, B) matrix times E.
+
+    With S = weights / dist and A = S + S^T the gradient is
+    rowsum(A) E - A E. Entries with a vanishing distance (a norm kink) are
+    dropped. Below EXPLICIT_NORM_BELOW the 1/d weights would amplify the
+    rounding of A E, so those entries are applied as explicit unit vectors
+    (e_a - e_b) / d instead.
     """
-    grad = np.zeros_like(emb)
-    sel = np.flatnonzero((np.asarray(weights) != 0) & (sol.distance > _TINY_DIST))
-    if len(sel) == 0:
-        return grad
-    w = np.asarray(weights, dtype=float)[sel][:, None]
-    delta_hat = (sol.p1[sel] - sol.p2[sel]) / sol.distance[sel][:, None]
-    if isinstance(sol, SegmentStackSolution):
-        k1, k2 = sol.k1[sel][:, None], sol.k2[sel][:, None]
-        coefficients = (1.0 - k1, k1, -(1.0 - k2), -k2)
-        adjoints = (k * delta_hat for k in coefficients)
-    else:
-        adjoints = _arc_adjoints(emb, combos[sel], sol, sel, delta_hat)
-    # Adjoints are generated one column at a time and scattered at once,
-    # so at most one side's (C, D) temporaries are alive.
-    for col, g in enumerate(adjoints):
-        np.add.at(grad, combos[sel, col], w * g)
+    keep = (weights != 0) & (dist > _TINY_DIST)
+    near = keep & (dist < EXPLICIT_NORM_BELOW)
+    far = keep & ~near
+    s = np.where(far, weights / np.where(far, dist, 1.0), 0.0)
+    a = s + s.T
+    grad = a.sum(axis=1)[:, None] * emb - a @ emb
+    if np.any(near):
+        heads, tails = np.nonzero(near)
+        u = (weights[near] / dist[near])[:, None] * (emb[heads] - emb[tails])
+        terms = np.arange(len(heads))
+        incidence = np.zeros((len(emb), len(heads)))
+        incidence[heads, terms] = 1.0
+        incidence[tails, terms] -= 1.0
+        grad += incidence @ u
     return grad
 
 
-def _arc_adjoints(emb, combos, sol, sel, delta_hat):
-    """Yield the arc adjoints for columns x1, x2, y1, y2 of the selected rows.
+def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
+    """Sum of weighted optimal-distance gradients over a table, as M E.
 
-    Pinned angles keep their endpoint identity (cases and collapsed sides);
-    free angles apply the Jacobians of the basis construction.
+    Every optimal point is a linear combination of its row's four
+    endpoints, so each row's gradient is a 4x4 block of coefficients:
+    block[col, m] is the weight of endpoint m in the adjoint of endpoint
+    col. The blocks of all rows are summed into one (B, B) matrix M.
+    Arc rows apply per-combination pinning from the winning cases; segment
+    rows hold k1 and k2 fixed, so the adjoints of p1 = (1 - k1) x1 + k1 x2
+    and p2 = (1 - k2) y1 + k2 y2 are (1 - k1, k1, -(1 - k2), -k2) times the
+    unit difference. Combinations with zero weight or a vanishing distance
+    (a norm kink) contribute nothing.
     """
+    sel = np.flatnonzero((np.asarray(weights) != 0) & (sol.distance > _TINY_DIST))
+    if len(sel) == 0:
+        return np.zeros_like(emb)
+    if isinstance(sol, SegmentStackSolution):
+        k1, k2 = sol.k1[sel], sol.k2[sel]
+        ends = np.stack([1.0 - k1, k1, -(1.0 - k2), -k2], axis=1)
+        blocks = ends[:, :, None] * ends[:, None, :] / sol.distance[sel][:, None, None]
+    else:
+        blocks = _arc_adjoint_blocks(sol, sel)
+    rows = combos[sel]
+    w = np.asarray(weights, dtype=float)[sel][:, None, None]
+    m = _square(len(emb), rows[:, :, None], rows[:, None, :], w * blocks)
+    return m @ emb
+
+
+def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
+    """(n, 4, 4) adjoint coefficients of the selected arc rows over (x1, x2, y1, y2).
+
+    A point is p = e1 cos(a) + n2 sin(a) with n2 = (e2 - c0 e1) / s. Pinned
+    angles keep their endpoint identity (cases and collapsed sides); free
+    angles apply the Jacobians of the basis construction, with every dot
+    product read from the rows' local Gram matrix.
+    """
+    n = len(sel)
+    x1y1, x1y2, x2y1, x2y2 = sol.cross[sel].T
+    dot_x, dot_y, one = sol.dot_x[sel], sol.dot_y[sel], np.ones(n)
+    local = np.stack([one, dot_x, x1y1, x1y2, dot_x, one, x2y1, x2y2,
+                      x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
     case = sol.case_id[sel]
     sides = (
-        (0, 1, sol.n2x, sol.dot_x, sol.res_x, sol.alpha,
-         (1, 5, 6), (2, 7, 8), sol.x_collapsed, delta_hat),
-        (2, 3, sol.n2y, sol.dot_y, sol.res_y, sol.beta,
-         (3, 5, 7), (4, 6, 8), sol.y_collapsed, -delta_hat),
+        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel], (1, 5, 6), (2, 7, 8)),
+        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel], (3, 5, 7), (4, 6, 8)),
     )
-    for i_col, j_col, n2_all, c0_all, s_all, ang_all, low_cases, high_cases, col_all, dvec in sides:
-        n2 = n2_all[sel]
-        c0 = c0_all[sel][:, None]
-        s = s_all[sel][:, None]
-        ang = ang_all[sel][:, None]
-        low = np.isin(case, low_cases) | col_all[sel]
+    # Unit difference (p1 - p2) / distance in the endpoint basis. A
+    # collapsed side sits at angle 0, where n2 does not enter.
+    delta = np.zeros((n, 4))
+    for first, angle, c0, res, collapsed, _, _ in sides:
+        sin_over = np.where(collapsed, 0.0, np.sin(angle) / np.where(collapsed, 1.0, res))
+        sign = 1.0 if first == 0 else -1.0
+        delta[:, first] = sign * (np.cos(angle) - c0 * sin_over)
+        delta[:, first + 1] = sign * sin_over
+    delta /= sol.distance[sel][:, None]
+
+    blocks = np.zeros((n, 4, 4))
+    for first, angle, c0, res, collapsed, low_cases, high_cases in sides:
+        dvec = delta if first == 0 else -delta
+        low = np.isin(case, low_cases) | collapsed
         high = np.isin(case, high_cases) & ~low
-        x1r, x2r = emb[combos[:, i_col]], emb[combos[:, j_col]]
-        s_safe = np.where((low | high)[:, None], 1.0, s)
-        dt = dvec - np.sum(dvec * n2, axis=1, keepdims=True) * n2
-        dt_x1 = np.sum(dt * x1r, axis=1, keepdims=True)
-        g1_free = np.cos(ang) * dvec + np.sin(ang) * (-dt_x1 * x2r - c0 * dt) / s_safe
-        g2_free = np.sin(ang) * (dt - dt_x1 * x1r) / s_safe
+        inv_res = np.where(low | high, 0.0, 1.0 / np.where(low | high, 1.0, res))
+        n2 = np.zeros((n, 4))
+        n2[:, first] = -c0 * inv_res
+        n2[:, first + 1] = inv_res
+        along = np.einsum("ra,rab,rb->r", dvec, local, n2)
+        dt = dvec - along[:, None] * n2
+        dt_e1 = np.einsum("rb,rb->r", local[:, first], dt)
+        s_over = (np.sin(angle) * inv_res)[:, None]
+        g1 = np.cos(angle)[:, None] * dvec - s_over * c0[:, None] * dt
+        g1[:, first + 1] -= s_over[:, 0] * dt_e1
+        g2 = s_over * dt
+        g2[:, first] -= s_over[:, 0] * dt_e1
         lowc, highc = low[:, None], high[:, None]
-        yield np.where(lowc, dvec, np.where(highc, 0.0, g1_free))
-        yield np.where(lowc, 0.0, np.where(highc, dvec, g2_free))
+        blocks[:, first] = np.where(lowc, dvec, np.where(highc, 0.0, g1))
+        blocks[:, first + 1] = np.where(lowc, 0.0, np.where(highc, dvec, g2))
+    return blocks
 
 
 def _norm_factor(batch, config, n_terms):
@@ -140,32 +191,18 @@ def triplet_grad(batch: LabeledBatch, config: LossConfig):
     """(loss, gradient) of the plain triplet loss."""
     loss = _triplet_loss(batch, config)
     dist, _ = pairwise(batch)
-    emb = batch.embeddings
     labels = batch.labels
     pairs = build_pairs(batch)
-    grad = np.zeros_like(emb)
     i_idx, j_idx = pairs.idx1, pairs.idx2
     neg_mask = labels[i_idx][:, None] != labels[None, :]
     d_pos = dist[i_idx, j_idx]
     active = neg_mask & (d_pos[:, None] - dist[i_idx, :] + config.margin > 0.0)
-    # Positive-distance part: each active negative adds one unit vector.
-    counts = active.sum(axis=1).astype(float)
-    pos_ok = d_pos > _TINY_DIST
-    u_pos = np.zeros_like(emb[i_idx])
-    u_pos[pos_ok] = (emb[i_idx][pos_ok] - emb[j_idx][pos_ok]) / d_pos[pos_ok, None]
-    np.add.at(grad, i_idx, counts[:, None] * u_pos)
-    np.add.at(grad, j_idx, -counts[:, None] * u_pos)
-    # Negative-distance part, one term per active (pair, negative sample).
-    p_sel, k_sel = np.nonzero(active)
-    anchors = i_idx[p_sel]
-    d_neg = dist[anchors, k_sel]
-    neg_ok = d_neg > _TINY_DIST
-    anchors, k_sel, d_neg = anchors[neg_ok], k_sel[neg_ok], d_neg[neg_ok]
-    u_neg = (emb[anchors] - emb[k_sel]) / d_neg[:, None]
-    np.add.at(grad, anchors, -u_neg)
-    np.add.at(grad, k_sel, u_neg)
-    grad /= _norm_factor(batch, config, int(neg_mask.sum()))
-    return loss, grad
+    # Each active (pair, negative) term adds d(i, j) - d(i, k).
+    weights = np.zeros_like(dist)
+    weights[i_idx] = -active.astype(float)
+    weights[i_idx, j_idx] = active.sum(axis=1)
+    grad = chord_grad(batch.embeddings, dist, weights)
+    return loss, grad / _norm_factor(batch, config, int(neg_mask.sum()))
 
 
 def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
@@ -173,21 +210,12 @@ def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
     loss = loop_triplet(batch, table, config)
     dist, _ = pairwise(batch)
     emb = batch.embeddings
-    grad = np.zeros_like(emb)
-    sol = table.solution
     combos = table.combos
-    m = config.margin
-    weights = np.zeros(len(combos))
-    for cols in ((0, 1), (2, 3)):
-        i_idx, j_idx = combos[:, cols[0]], combos[:, cols[1]]
-        d_pos = dist[i_idx, j_idx]
-        active = d_pos - sol.distance + m > 0.0
-        weights += active
-        sel = active & (d_pos > _TINY_DIST)
-        u = (emb[i_idx[sel]] - emb[j_idx[sel]]) / d_pos[sel, None]
-        np.add.at(grad, i_idx[sel], u)
-        np.add.at(grad, j_idx[sel], -u)
-    grad -= optimal_distance_grad_stack(emb, combos, sol, weights)
+    # Both sides of every combination play the positive pair once.
+    heads, tails = combos[:, [0, 2]], combos[:, [1, 3]]
+    active = dist[heads, tails] - table.distances[:, None] + config.margin > 0.0
+    grad = chord_grad(emb, dist, _square(len(emb), heads, tails, active))
+    grad -= optimal_distance_grad_stack(emb, combos, table.solution, active.sum(axis=1))
     grad /= _norm_factor(batch, config, 2 * len(combos))
     return loss, grad
 
@@ -196,9 +224,8 @@ def _pair_loss_grad(batch, config, table, positive_is_distance):
     """Shared gradient for HPHN (hardest positive) and LS (pair distance).
 
     Without a table the hardest negative is mined from the batch; with one
-    it is each pair's nearest optimal distance. Each active pair adds the
-    signed unit vector of its positive (and mined negative) distance at
-    the first index and subtracts it at the second, in pair order.
+    it is each pair's nearest optimal distance. Each active pair adds its
+    positive distance and subtracts its mined negative distance.
     """
     dist, _ = pairwise(batch)
     emb = batch.embeddings
@@ -207,26 +234,18 @@ def _pair_loss_grad(batch, config, table, positive_is_distance):
         hp, hp_a, hp_b = dist[pairs.idx1, pairs.idx2], pairs.idx1, pairs.idx2
     else:
         hp, hp_a, hp_b = hardest(dist, batch.labels, pairs, positive=True)
-    heads, tails, signs = [hp_a], [hp_b], [1.0]
     if table is None:
         hn, hn_a, hn_b = hardest(dist, batch.labels, pairs, positive=False)
-        heads.append(hn_a)
-        tails.append(hn_b)
-        signs.append(-1.0)
     else:
         hn = table.pair_min
     active = hp + config.margin - hn > 0.0
-    heads, tails = np.stack(heads, axis=1), np.stack(tails, axis=1)  # (P, terms)
-    d = dist[heads, tails]
-    keep = active[:, None] & (d > _TINY_DIST)
-    sign = np.broadcast_to(signs, keep.shape)[keep][:, None]
-    u = sign * (emb[heads[keep]] - emb[tails[keep]]) / d[keep][:, None]
-    grad = np.zeros_like(emb)
-    np.add.at(grad, np.stack([heads[keep], tails[keep]], axis=1).ravel(),
-              np.stack([u, -u], axis=1).reshape(-1, emb.shape[1]))
+    weights = _square(len(emb), hp_a, hp_b, active)
+    if table is None:
+        weights -= _square(len(emb), hn_a, hn_b, active)
+    grad = chord_grad(emb, dist, weights)
     if table is not None:
-        weights = np.bincount(table.nearest[active], minlength=len(table.combos))
-        grad -= optimal_distance_grad_stack(emb, table.combos, table.solution, weights)
+        nearest = np.bincount(table.nearest[active], minlength=len(table.combos))
+        grad -= optimal_distance_grad_stack(emb, table.combos, table.solution, nearest)
     grad /= _norm_factor(batch, config, len(pairs))
     return grad
 

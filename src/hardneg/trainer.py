@@ -93,20 +93,26 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledBatch:
     )
 
 
-def recall_at_k(batch: LabeledBatch, k: int) -> float:
-    """Fraction of samples whose k nearest neighbors include their class."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    n = batch.batch_size
-    if n < 2:
+def _neighbor_order(batch: LabeledBatch) -> np.ndarray:
+    """Per sample, the other samples from nearest to farthest (stable ties)."""
+    if batch.batch_size < 2:
         raise ValueError("need at least 2 samples")
     gram = batch.embeddings @ batch.embeddings.T
     d_sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
     np.fill_diagonal(d_sq, np.inf)
-    order = np.argsort(d_sq, axis=1, kind="stable")
-    neighbors = order[:, : min(k, n - 1)]
-    same = batch.labels[neighbors] == batch.labels[:, None]
+    return np.argsort(d_sq, axis=1, kind="stable")[:, :-1]
+
+
+def _recall_from_order(labels, order: np.ndarray, k: int) -> float:
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    same = labels[order[:, :k]] == labels[:, None]
     return float(np.mean(np.any(same, axis=1)))
+
+
+def recall_at_k(batch: LabeledBatch, k: int) -> float:
+    """Fraction of samples whose k nearest neighbors include their class."""
+    return _recall_from_order(batch.labels, _neighbor_order(batch), k)
 
 
 def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
@@ -139,14 +145,6 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
             break
         assign = new_assign
     return assign
-
-
-def _contingency(labels_a, labels_b):
-    _, ca = np.unique(labels_a, return_inverse=True)
-    _, cb = np.unique(labels_b, return_inverse=True)
-    table = np.zeros((ca.max() + 1, cb.max() + 1))
-    np.add.at(table, (ca, cb), 1.0)
-    return table
 
 
 def _nmi_from_contingency(table: np.ndarray) -> float:
@@ -183,24 +181,33 @@ def _pair_f1_from_contingency(table: np.ndarray) -> float:
     return float(2.0 * precision * recall / (precision + recall))
 
 
+def _cluster_table(batch: LabeledBatch, num_clusters: int) -> np.ndarray:
+    """Contingency table of the labels against deterministic k-means clusters."""
+    _, ca = np.unique(batch.labels, return_inverse=True)
+    _, cb = np.unique(_farthest_point_kmeans(batch.embeddings, num_clusters), return_inverse=True)
+    table = np.zeros((ca.max() + 1, cb.max() + 1))
+    np.add.at(table, (ca, cb), 1.0)
+    return table
+
+
 def nmi(batch: LabeledBatch, num_clusters: int) -> float:
     """Normalized mutual information of deterministic k-means vs labels."""
-    assign = _farthest_point_kmeans(batch.embeddings, num_clusters)
-    return _nmi_from_contingency(_contingency(batch.labels, assign))
+    return _nmi_from_contingency(_cluster_table(batch, num_clusters))
 
 
 def f1(batch: LabeledBatch, num_clusters: int) -> float:
     """Harmonic mean of pairwise precision/recall over co-clustered pairs."""
-    assign = _farthest_point_kmeans(batch.embeddings, num_clusters)
-    return _pair_f1_from_contingency(_contingency(batch.labels, assign))
+    return _pair_f1_from_contingency(_cluster_table(batch, num_clusters))
 
 
 def evaluate(batch: LabeledBatch, ks=(1, 2, 4, 8)) -> EvalReport:
-    clusters = batch.num_classes()
+    """Recall@k for every k from one neighbour ordering, NMI and F1 from one clustering."""
+    order = _neighbor_order(batch)
+    table = _cluster_table(batch, batch.num_classes())
     return EvalReport(
-        recall_at_k={k: recall_at_k(batch, k) for k in ks},
-        nmi=nmi(batch, clusters),
-        f1=f1(batch, clusters),
+        recall_at_k={k: _recall_from_order(batch.labels, order, k) for k in ks},
+        nmi=_nmi_from_contingency(table),
+        f1=_pair_f1_from_contingency(table),
     )
 
 

@@ -5,6 +5,12 @@ mirroring the scalar solvers candidate for candidate (same case order,
 same feasibility masks, same tie-breaks), so batch construction can solve
 every pair-of-pairs combination at once. The test suite pins scalar and
 stacked results against each other on random and degenerate inputs.
+
+Every arc quantity is a function of the six endpoint dots of a row, so one
+core (`_solve_arc_core`) solves from dots alone: `solve_arc_stack` feeds it
+row dots and then forms the optimal points, and `solve_arc_gram` feeds it
+gathers from a Gram matrix E E^T, so its cost per row does not grow with
+the dimension.
 """
 
 from __future__ import annotations
@@ -14,24 +20,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arc_solver import EPS_BOX, EPS_LAMBDA, EPS_QUAD
-from .errors import DegenerateArc, DegenerateSegment
+from .errors import DegenerateArc, DegenerateSegment, NonFiniteInput
 from .geometry import DEGENERACY_EPS
 from .segment_solver import EPS_SEGMENT
 
 # Candidate slot layout: two interior candidates then boundary cases 1..8.
 _SLOT_CASE = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7, 8])
 _N_SLOTS = 10
-_CORNER_SLOTS = np.zeros(_N_SLOTS, dtype=bool)
-_CORNER_SLOTS[6:] = True
+
+# Below this chord, sqrt(2 + 2f) loses too many digits to cancellation
+# (f is near -1), so the distance is taken as the explicit norm of p1 - p2.
+EXPLICIT_NORM_BELOW = 1e-3
 
 
 @dataclass
-class ArcStackSolution:
-    """Winning candidates for a stack of arc problems, plus basis data.
+class ArcSolution:
+    """Winning candidates for a stack of arc problems, from endpoint dots.
 
-    The basis arrays (second basis vectors, endpoint dots, residual norms)
-    are kept so envelope gradients can be formed without re-deriving the
-    geometry.
+    Holds no (n, D) array: the optimal points are p1 = x1 cos(alpha) +
+    n2x sin(alpha) with n2x = (x2 - dot_x x1) / res_x (and likewise p2),
+    so the dots and residual norms suffice to form envelope gradients.
+    cross holds the rows (x1.y1, x1.y2, x2.y1, x2.y2).
     """
 
     case_id: np.ndarray
@@ -41,22 +50,30 @@ class ArcStackSolution:
     beta0: np.ndarray
     f_value: np.ndarray
     distance: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
     multipliers: np.ndarray
     coeffs: np.ndarray  # (n, 4) rows (a, b, c, d)
-    n2x: np.ndarray
-    n2y: np.ndarray
     dot_x: np.ndarray
     dot_y: np.ndarray
+    cross: np.ndarray
     res_x: np.ndarray  # |x2 - (x1.x2) x1|, the Gram-Schmidt residual norm
     res_y: np.ndarray
     x_collapsed: np.ndarray
     y_collapsed: np.ndarray
 
 
-def _row_normalize(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+@dataclass
+class ArcStackSolution(ArcSolution):
+    """An ArcSolution plus the optimal points and second basis vectors as rows."""
+
+    p1: np.ndarray
+    p2: np.ndarray
+    n2x: np.ndarray
+    n2y: np.ndarray
+
+
+def _require_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(m)) for m in arrays):
+        raise NonFiniteInput("stack contains a non-finite coordinate")
 
 
 def _fallback_rows(x: np.ndarray) -> np.ndarray:
@@ -66,41 +83,37 @@ def _fallback_rows(x: np.ndarray) -> np.ndarray:
     e = np.zeros_like(x)
     e[np.arange(n), axis] = 1.0
     residual = e - (np.sum(x * e, axis=1, keepdims=True)) * x
-    return _row_normalize(residual)
+    return residual / np.linalg.norm(residual, axis=1, keepdims=True)
 
 
-def _pair_basis_stack(u: np.ndarray, v: np.ndarray):
-    """Vectorized Gram-Schmidt with collapse handling for one side."""
-    dot = np.clip(np.sum(u * v, axis=1), -1.0, 1.0)
+def _second_basis(u: np.ndarray, v: np.ndarray, dot, collapsed) -> np.ndarray:
+    """Unit rows along v - (u.v) u; a fixed orthogonal row where the side collapsed."""
+    residual = v - dot[:, None] * u
+    n2 = residual / np.where(collapsed, 1.0, np.linalg.norm(residual, axis=1))[:, None]
+    if np.any(collapsed):
+        n2[collapsed] = _fallback_rows(u[collapsed])
+    return n2
+
+
+def _arc_side(dot):
+    """Clipped endpoint dot, residual norm, extent and collapse flag of one side."""
+    dot = np.clip(dot, -1.0, 1.0)
     collapsed = dot >= 1.0 - DEGENERACY_EPS
     if np.any(dot <= -1.0 + DEGENERACY_EPS):
         raise DegenerateArc("stack contains antiparallel endpoint pairs")
-    residual = v - dot[:, None] * u
-    res_norm = np.linalg.norm(residual, axis=1)
-    safe = np.where(collapsed, 1.0, res_norm)
-    n2 = residual / safe[:, None]
-    if np.any(collapsed):
-        n2[collapsed] = _fallback_rows(u[collapsed])
+    residual = np.sqrt((1.0 - dot) * (1.0 + dot))
     extent = np.where(collapsed, 0.0, np.arccos(dot))
-    return n2, dot, res_norm, extent, collapsed
+    return dot, residual, extent, collapsed
 
 
-def _grad_alpha(a, b, c, d, al, be):
+def _objective_and_grads(a, b, c, d, al, be):
+    """f(alpha, beta) = -p1.p2 and its two partials, from one set of sines and cosines."""
     sa, ca = np.sin(al), np.cos(al)
     sb, cb = np.sin(be), np.cos(be)
-    return a * ca * sb - b * sa * sb + c * ca * cb - d * sa * cb
-
-
-def _grad_beta(a, b, c, d, al, be):
-    sa, ca = np.sin(al), np.cos(al)
-    sb, cb = np.sin(be), np.cos(be)
-    return a * sa * cb + b * ca * cb - c * sa * sb - d * ca * sb
-
-
-def _objective(a, b, c, d, al, be):
-    sa, ca = np.sin(al), np.cos(al)
-    sb, cb = np.sin(be), np.cos(be)
-    return a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
+    f = a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
+    ga = a * ca * sb - b * sa * sb + c * ca * cb - d * sa * cb
+    gb = a * sa * cb + b * ca * cb - c * sa * sb - d * ca * sb
+    return f, ga, gb
 
 
 def _stationary_beta(a, b, c, d, al):
@@ -108,21 +121,58 @@ def _stationary_beta(a, b, c, d, al):
     return np.arctan2(a * sa + b * ca, c * sa + d * ca) % np.pi
 
 
-def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
-    """Solve n arc problems given four (n, D) stacks of unit rows."""
-    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
-    n = x1.shape[0]
-    n2x, dot_x, res_x, alpha0, x_col = _pair_basis_stack(x1, x2)
-    n2y, dot_y, res_y, beta0, y_col = _pair_basis_stack(y1, y2)
+def _select(slot_case, g1, g2, x_col, y_col, in_box, values, allowed):
+    """Multipliers of every candidate slot and the winning slot of each row.
 
-    a = -np.sum(n2x * n2y, axis=1)
-    b = -np.sum(x1 * n2y, axis=1)
-    c = -np.sum(n2x * y1, axis=1)
-    d = -np.sum(x1 * y1, axis=1)
+    slot_case maps slots to cases 0..8; g1 and g2 are the objective's
+    partials in the two parameters at each candidate. A candidate is
+    eligible when its multipliers have the feasible sign and it lies in the
+    box; corners always are. A collapsed side restricts the candidate set
+    to its 1-D subproblem, and its multipliers, structurally pinned, carry
+    no information and must not veto candidates. The smallest value wins.
+    """
+    lams = np.zeros(g1.shape + (4,))
+    for slot, case in enumerate(slot_case):
+        if case in (1, 5, 6):
+            lams[:, slot, 0] = -g1[:, slot]
+        if case in (2, 7, 8):
+            lams[:, slot, 1] = g1[:, slot]
+        if case in (3, 5, 7):
+            lams[:, slot, 2] = -g2[:, slot]
+        if case in (4, 6, 8):
+            lams[:, slot, 3] = g2[:, slot]
+    lams[x_col, :, 0:2] = 0.0
+    lams[y_col, :, 2:4] = 0.0
+    eligible = (np.all(lams <= EPS_LAMBDA, axis=2) & in_box) | (slot_case >= 5)
+    allowed[x_col & ~y_col] &= np.isin(slot_case, (1, 5, 6))
+    allowed[y_col & ~x_col] &= np.isin(slot_case, (3, 5, 7))
+    allowed[x_col & y_col] &= slot_case == 5
+    winner = np.argmin(np.where(eligible & allowed, values, np.inf), axis=1)
+    return lams, winner
+
+
+def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
+    """Solve n arc problems of unit endpoints from their six endpoint dots.
+
+    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
+    replace it where it falls below EXPLICIT_NORM_BELOW.
+    """
+    n = len(dot_x)
+    dot_x, res_x, alpha0, x_col = _arc_side(dot_x)
+    dot_y, res_y, beta0, y_col = _arc_side(dot_y)
+
+    # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
+    # the terms divided by its residual only multiply the sine of its
+    # pinned angle, sin(0) = 0, and are set to 0.
+    inv_x = np.where(x_col, 0.0, 1.0 / np.where(x_col, 1.0, res_x))
+    inv_y = np.where(y_col, 0.0, 1.0 / np.where(y_col, 1.0, res_y))
+    a = -(x2y2 - dot_y * x2y1 - dot_x * x1y2 + dot_x * dot_y * x1y1) * inv_x * inv_y
+    b = -(x1y2 - dot_y * x1y1) * inv_y
+    c = -(x2y1 - dot_x * x1y1) * inv_x
+    d = -x1y1
 
     alpha_c = np.zeros((n, _N_SLOTS))
     beta_c = np.zeros((n, _N_SLOTS))
-    lams = np.zeros((n, _N_SLOTS, 4))
 
     # Interior quadratic in tan(alpha); roots multiply to -1.
     lead = a * b + c * d
@@ -168,70 +218,32 @@ def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
     alpha_c[:, 9] = alpha0
     beta_c[:, 9] = beta0
 
-    ga = _grad_alpha(a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c)
-    gb = _grad_beta(a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c)
-    for slot, case in enumerate(_SLOT_CASE):
-        if case in (1, 5, 6):
-            lams[:, slot, 0] = -ga[:, slot]
-        if case in (2, 7, 8):
-            lams[:, slot, 1] = ga[:, slot]
-        if case in (3, 5, 7):
-            lams[:, slot, 2] = -gb[:, slot]
-        if case in (4, 6, 8):
-            lams[:, slot, 3] = gb[:, slot]
-    # Collapsed sides have structurally pinned angles; their multipliers
-    # carry no information and must not veto candidates.
-    lams[x_col, :, 0:2] = 0.0
-    lams[y_col, :, 2:4] = 0.0
-
-    f_c = _objective(a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c)
-
-    feasible = (
-        np.all(lams <= EPS_LAMBDA, axis=2)
-        & (alpha_c >= -EPS_BOX)
+    f_c, ga, gb = _objective_and_grads(
+        a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c
+    )
+    in_box = (
+        (alpha_c >= -EPS_BOX)
         & (alpha_c <= alpha0[:, None] + EPS_BOX)
         & (beta_c >= -EPS_BOX)
         & (beta_c <= beta0[:, None] + EPS_BOX)
     )
-    eligible = feasible | _CORNER_SLOTS[None, :]
-    # A collapsed arc restricts the candidate set to its 1-D subproblem.
     allowed = np.ones((n, _N_SLOTS), dtype=bool)
-    both = x_col & y_col
-    x_only = x_col & ~y_col
-    y_only = y_col & ~x_col
-    allowed[x_only] = False
-    allowed[np.ix_(x_only, [2, 6, 7])] = True  # cases 1, 5, 6
-    allowed[y_only] = False
-    allowed[np.ix_(y_only, [4, 6, 8])] = True  # cases 3, 5, 7
-    allowed[both] = False
-    allowed[np.ix_(both, [6])] = True  # case 5
-    eligible &= allowed
-
-    f_masked = np.where(eligible, f_c, np.inf)
-    winner = np.argmin(f_masked, axis=1)
+    lams, winner = _select(_SLOT_CASE, ga, gb, x_col, y_col, in_box, f_c, allowed)
     rows = np.arange(n)
-    alpha_w = alpha_c[rows, winner]
-    beta_w = beta_c[rows, winner]
-
-    p1 = x1 * np.cos(alpha_w)[:, None] + n2x * np.sin(alpha_w)[:, None]
-    p2 = y1 * np.cos(beta_w)[:, None] + n2y * np.sin(beta_w)[:, None]
-
-    return ArcStackSolution(
+    f_w = f_c[rows, winner]
+    return ArcSolution(
         case_id=_SLOT_CASE[winner],
-        alpha=alpha_w,
-        beta=beta_w,
+        alpha=alpha_c[rows, winner],
+        beta=beta_c[rows, winner],
         alpha0=alpha0,
         beta0=beta0,
-        f_value=f_c[rows, winner],
-        distance=np.linalg.norm(p1 - p2, axis=1),
-        p1=p1,
-        p2=p2,
+        f_value=f_w,
+        distance=np.sqrt(np.maximum(2.0 + 2.0 * f_w, 0.0)),
         multipliers=lams[rows, winner, :],
         coeffs=np.stack([a, b, c, d], axis=1),
-        n2x=n2x,
-        n2y=n2y,
         dot_x=dot_x,
         dot_y=dot_y,
+        cross=np.stack([x1y1, x1y2, x2y1, x2y2], axis=1),
         res_x=res_x,
         res_y=res_y,
         x_collapsed=x_col,
@@ -239,23 +251,53 @@ def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
     )
 
 
-def arc_stack_residuals(sol: ArcStackSolution) -> np.ndarray:
+def _arc_points(sol: ArcSolution, x1, x2, y1, y2, rows=slice(None)):
+    """Optimal points p1, p2 and second basis rows n2x, n2y of the given rows."""
+    n2x = _second_basis(x1, x2, sol.dot_x[rows], sol.x_collapsed[rows])
+    n2y = _second_basis(y1, y2, sol.dot_y[rows], sol.y_collapsed[rows])
+    al, be = sol.alpha[rows][:, None], sol.beta[rows][:, None]
+    p1 = x1 * np.cos(al) + n2x * np.sin(al)
+    p2 = y1 * np.cos(be) + n2y * np.sin(be)
+    return p1, p2, n2x, n2y
+
+
+def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
+    """Solve n arc problems given four (n, D) stacks of unit rows."""
+    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
+    _require_finite(x1, x2, y1, y2)
+    ends = ((x1, x2), (y1, y2), (x1, y1), (x1, y2), (x2, y1), (x2, y2))
+    core = _solve_arc_core(*(np.sum(u * v, axis=1) for u, v in ends))
+    p1, p2, n2x, n2y = _arc_points(core, x1, x2, y1, y2)
+    core.distance = np.linalg.norm(p1 - p2, axis=1)
+    return ArcStackSolution(**vars(core), p1=p1, p2=p2, n2x=n2x, n2y=n2y)
+
+
+def solve_arc_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> ArcSolution:
+    """Solve the arc problems of rows (i, j, k, l) of emb from gram = emb emb^T.
+
+    Rows whose distance falls below EXPLICIT_NORM_BELOW gather their four
+    endpoints and take the explicit norm of p1 - p2; no other row is gathered.
+    """
+    _require_finite(gram)
+    i, j, k, l = combos.T
+    sol = _solve_arc_core(gram[i, j], gram[k, l], gram[i, k], gram[i, l], gram[j, k], gram[j, l])
+    near = np.flatnonzero(sol.distance < EXPLICIT_NORM_BELOW)
+    if len(near):
+        p1, p2, _, _ = _arc_points(sol, *(emb[combos[near, col]] for col in range(4)), rows=near)
+        sol.distance[near] = np.linalg.norm(p1 - p2, axis=1)
+    return sol
+
+
+def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
     """Max stationarity residual per instance for the winning candidates.
 
     A collapsed side has its angle structurally pinned and carries no
     stationarity condition, so its residual is excluded.
     """
     a, b, c, d = sol.coeffs.T
-    r1 = (
-        _grad_alpha(a, b, c, d, sol.alpha, sol.beta)
-        + sol.multipliers[:, 0]
-        - sol.multipliers[:, 1]
-    )
-    r2 = (
-        _grad_beta(a, b, c, d, sol.alpha, sol.beta)
-        + sol.multipliers[:, 2]
-        - sol.multipliers[:, 3]
-    )
+    _, ga, gb = _objective_and_grads(a, b, c, d, sol.alpha, sol.beta)
+    r1 = ga + sol.multipliers[:, 0] - sol.multipliers[:, 1]
+    r2 = gb + sol.multipliers[:, 2] - sol.multipliers[:, 3]
     r1 = np.where(sol.x_collapsed, 0.0, r1)
     r2 = np.where(sol.y_collapsed, 0.0, r2)
     return np.maximum(np.abs(r1), np.abs(r2))
@@ -278,6 +320,7 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
     solver; rows with one collapsed segment fall back to point-vs-segment.
     """
     x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
+    _require_finite(x1, x2, y1, y2)
     n = x1.shape[0]
     u = x1 - x2
     v = y1 - y2
@@ -294,12 +337,6 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
 
     ca, cb, cc = uu, -uv, -uw
     ca2, cb2, cc2 = -uv, vv, vw
-
-    def g1(k1, k2):
-        return ca[:, None] * k1 + cb[:, None] * k2 + cc[:, None]
-
-    def g2(k1, k2):
-        return ca2[:, None] * k1 + cb2[:, None] * k2 + cc2[:, None]
 
     k1_c = np.zeros((n, 9))
     k2_c = np.zeros((n, 9))
@@ -321,42 +358,6 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
     k1_c[:, 8] = 1.0
     k2_c[:, 8] = 1.0
 
-    lams = np.zeros((n, 9, 4))
-    g1v = g1(k1_c, k2_c)
-    g2v = g2(k1_c, k2_c)
-    for slot in range(9):
-        case = slot
-        if case in (1, 5, 6):
-            lams[:, slot, 0] = -g1v[:, slot]
-        if case in (2, 7, 8):
-            lams[:, slot, 1] = g1v[:, slot]
-        if case in (3, 5, 7):
-            lams[:, slot, 2] = -g2v[:, slot]
-        if case in (4, 6, 8):
-            lams[:, slot, 3] = g2v[:, slot]
-    lams[x_col, :, 0:2] = 0.0
-    lams[y_col, :, 2:4] = 0.0
-
-    feasible = (
-        np.all(lams <= EPS_LAMBDA, axis=2)
-        & (k1_c >= -EPS_BOX)
-        & (k1_c <= 1.0 + EPS_BOX)
-        & (k2_c >= -EPS_BOX)
-        & (k2_c <= 1.0 + EPS_BOX)
-    )
-    corner = np.zeros(9, dtype=bool)
-    corner[5:] = True
-    eligible = feasible | corner[None, :]
-    allowed = np.ones((n, 9), dtype=bool)
-    allowed[~det_ok, 0] = False
-    x_only = x_col & ~y_col
-    y_only = y_col & ~x_col
-    allowed[x_only] = False
-    allowed[np.ix_(x_only, [1, 5, 6])] = True
-    allowed[y_only] = False
-    allowed[np.ix_(y_only, [3, 5, 7])] = True
-    eligible &= allowed
-
     # Squared distance at each candidate, evaluated from the quadratic form.
     d2 = (
         np.sum(w * w, axis=1)[:, None]
@@ -366,8 +367,14 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
         + 2.0 * k2_c * vw[:, None]
         - 2.0 * k1_c * k2_c * uv[:, None]
     )
-    d2_masked = np.where(eligible, d2, np.inf)
-    winner = np.argmin(d2_masked, axis=1)
+    g1 = ca[:, None] * k1_c + cb[:, None] * k2_c + cc[:, None]
+    g2 = ca2[:, None] * k1_c + cb2[:, None] * k2_c + cc2[:, None]
+    in_box = (
+        (k1_c >= -EPS_BOX) & (k1_c <= 1.0 + EPS_BOX) & (k2_c >= -EPS_BOX) & (k2_c <= 1.0 + EPS_BOX)
+    )
+    allowed = np.ones((n, 9), dtype=bool)
+    allowed[~det_ok, 0] = False
+    _, winner = _select(np.arange(9), g1, g2, x_col, y_col, in_box, d2, allowed)
     rows = np.arange(n)
     k1_w = k1_c[rows, winner]
     k2_w = k2_c[rows, winner]

@@ -6,6 +6,7 @@ import pytest
 from hardneg import (
     ArcProblem,
     DegenerateArc,
+    HardNegError,
     check_kkt,
     chord_distance,
     grid_min_arc,
@@ -216,3 +217,12 @@ def test_scalar_matches_stack(rng):
         assert abs(sol.distance - stack.distance[t]) < 1e-12
     residuals = arc_stack_residuals(stack)
     assert float(np.max(residuals)) < 1e-8
+
+
+def test_stack_rejects_non_finite(rng):
+    pts = unit_rows(rng, 4 * 3, 5).reshape(3, 4, 5)
+    for bad in (np.nan, np.inf):
+        pts_bad = pts.copy()
+        pts_bad[1, 2, 3] = bad
+        with pytest.raises(HardNegError):
+            solve_arc_stack(pts_bad[:, 0], pts_bad[:, 1], pts_bad[:, 2], pts_bad[:, 3])

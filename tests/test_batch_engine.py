@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardneg import (
+    HardNegError,
     InvalidBatchShape,
     LabeledBatch,
     NoNegatives,
@@ -14,6 +17,7 @@ from hardneg import (
     optimal_distance_table,
 )
 from hardneg.batch_engine import export_table_csv, load_batch_csv, load_batch_json
+from hardneg.vectorized import solve_arc_stack
 
 from conftest import random_batch, unit_rows
 
@@ -195,3 +199,50 @@ def test_non_finite_embeddings_rejected(tmp_path, rng):
     json_path.write_text('{"labels": [0, 0, 1, 1], "embeddings": [[1, 0], [0, 1], [NaN, 1], [1, 1]]}')
     with pytest.raises(InvalidBatchShape):
         load_batch_json(json_path)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_classes=st.integers(2, 4),
+    per_class=st.sampled_from([2, 4]),
+    dim=st.integers(3, 8),
+    collapsed=st.booleans(),
+    touching=st.booleans(),
+    interleaved=st.booleans(),
+)
+def test_gram_table_matches_row_solver(seed, num_classes, per_class, dim, collapsed,
+                                       touching, interleaved):
+    # The table solves from E E^T; the row solver from gathered endpoints.
+    rng = np.random.default_rng(seed)
+    emb = unit_rows(rng, num_classes * per_class, dim)
+    labels = np.repeat(np.arange(num_classes), per_class)
+    if collapsed:
+        emb[1] = emb[0]  # a within-pair duplicate: a collapsed side
+    if touching:
+        emb[per_class] = emb[0]  # identical across classes: distance 0
+    if interleaved:
+        order = rng.permutation(len(labels))
+        emb, labels = emb[order], labels[order]
+    batch = LabeledBatch.from_arrays(emb, labels)
+    table = optimal_distance_table(batch)
+    rows = (batch.embeddings[table.combos[:, col]] for col in range(4))
+    reference = solve_arc_stack(*rows)
+    sol = table.solution
+    assert np.max(np.abs(sol.distance - reference.distance)) <= 1e-12
+    # Where duplicated embeddings make several cases meet at one point, the
+    # last bit of a dot product picks the label; the optimum must still agree.
+    same_point = (np.abs(sol.alpha - reference.alpha) <= 1e-9) & (
+        np.abs(sol.beta - reference.beta) <= 1e-9)
+    tie = same_point & (collapsed or touching)
+    assert np.all((sol.case_id == reference.case_id) | tie)
+
+
+@pytest.mark.parametrize("variant", ["arc", "segment"])
+def test_non_finite_table_rejected(rng, variant):
+    # Built directly, so LabeledBatch.from_arrays never saw the NaN.
+    emb = unit_rows(rng, 4, 3)
+    emb[3, 0] = np.nan
+    batch = LabeledBatch(embeddings=emb, labels=np.array([0, 0, 1, 1]), samples_per_class=2)
+    with pytest.raises(HardNegError):
+        optimal_distance_table(batch, variant=variant)

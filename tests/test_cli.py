@@ -221,3 +221,15 @@ def test_experiment_unknown_variant(tmp_path, capsys):
     code, out = run_cli(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "x"))
     assert code == 2
     assert json.loads(out)["error"] == "ConfigError"
+
+
+def test_misspelled_instance_variant_is_input_error(tmp_path, capsys):
+    instance = write_instance(
+        tmp_path / "inst.json", ([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]), variant="segmnet"
+    )
+    for command in ("solve", "oracle"):
+        code, out = run_cli(capsys, command, str(instance))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "ParseError"
+        assert "segmnet" in payload["message"]

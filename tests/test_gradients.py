@@ -11,6 +11,8 @@ from hardneg import (
     analytic_loop_triplet_grad,
     finite_diff_grad,
     optimal_arc_distance,
+    optimal_distance_table,
+    pairwise,
 )
 from hardneg.arc_solver import active_set_margin
 from hardneg.gradients import (
@@ -205,3 +207,109 @@ def test_zero_gradient_when_hinges_off():
     loss, grad = loss_and_grad("loop_triplet", batch, cfg)
     assert loss.total == 0.0
     assert np.all(grad == 0.0)
+
+
+def _instance_with_case(case, rng, min_margin=1e-3):
+    """Four unit points in R^5 whose arc solution wins `case`, clear of active-set changes."""
+    while True:
+        points = unit_rows(rng, 4, 5)
+        problem = ArcProblem.from_endpoints(*points)
+        sol = optimal_arc_distance(problem)
+        if sol.candidate.case_id == case and active_set_margin(problem, sol) > min_margin:
+            return points
+
+
+@pytest.mark.parametrize("case", range(1, 9))
+@pytest.mark.parametrize("name", ["loop_triplet", "loop_hphn", "loop_ls"])
+def test_loop_gradients_by_winning_case(name, case):
+    # One combination per batch, every hinge strictly active, the winning
+    # case stable under the finite-difference steps.
+    rng = np.random.default_rng(100 + case)
+    cfg = LossConfig(margin=3.0)
+    for _ in range(3):
+        points = _instance_with_case(case, rng)
+        batch = LabeledBatch.from_arrays(points, np.array([0, 0, 1, 1]))
+        assert optimal_distance_table(batch).solution.case_id.tolist() == [case]
+        _, grad = loss_and_grad(name, batch, cfg)
+        tangent = project_tangent(batch.embeddings, grad)
+        for idx in range(4):
+            fd = finite_diff_grad(lambda b: evaluate_loss(name, b, cfg), batch, idx, h=1e-6)
+            assert np.linalg.norm(tangent[idx] - fd) <= 1e-6 * max(np.linalg.norm(fd), 1.0)
+
+
+def _near_coincident_batch():
+    """Two classes of four in R^5; samples 0 and 1 are about 1e-7 apart."""
+    rng = np.random.default_rng(71)
+    emb = unit_rows(rng, 8, 5)
+    step = rng.normal(size=5)
+    step -= (step @ emb[0]) * emb[0]
+    emb[1] = emb[0] + 1e-7 * step / np.linalg.norm(step)
+    return LabeledBatch.from_arrays(emb, np.repeat([0, 1], 4))
+
+
+def _unit(emb, dist, a, b):
+    return (emb[a] - emb[b]) / dist[a, b] if dist[a, b] > 1e-12 else np.zeros(emb.shape[1])
+
+
+def test_near_coincident_pair_triplet_grad():
+    # Explicit per-term unit vectors (e_a - e_b) / d_ab as the reference.
+    batch = _near_coincident_batch()
+    cfg = LossConfig(margin=2.5)
+    emb, labels = batch.embeddings, batch.labels
+    dist, _ = pairwise(batch)
+    assert 5e-8 < dist[0, 1] < 2e-7
+    ref = np.zeros_like(emb)
+    negatives = 0
+    for i in range(0, 8, 2):
+        j = i + 1
+        for k in np.flatnonzero(labels != labels[i]):
+            negatives += 1
+            if dist[i, j] - dist[i, k] + cfg.margin > 0.0:
+                u_pos, u_neg = _unit(emb, dist, i, j), _unit(emb, dist, i, k)
+                ref[i] += u_pos - u_neg
+                ref[j] -= u_pos
+                ref[k] += u_neg
+    ref /= negatives
+    _, grad = loss_and_grad("triplet", batch, cfg)
+    for row in (0, 1):
+        assert np.linalg.norm(grad[row] - ref[row]) <= 1e-9 * np.linalg.norm(ref[row])
+
+
+def test_near_coincident_pair_loop_triplet_grad():
+    # Explicit chord terms plus scalar envelope adjoints per combination.
+    batch = _near_coincident_batch()
+    cfg = LossConfig(margin=2.5)
+    emb = batch.embeddings
+    dist, _ = pairwise(batch)
+    table = optimal_distance_table(batch)
+    ref = np.zeros_like(emb)
+    for i, j, k, l in table.combos:
+        problem = ArcProblem.from_endpoints(emb[i], emb[j], emb[k], emb[l])
+        sol = optimal_arc_distance(problem)
+        active = [dist[a, b] - sol.distance + cfg.margin > 0.0 for a, b in ((i, j), (k, l))]
+        for (a, b), on in zip(((i, j), (k, l)), active):
+            if on:
+                u = _unit(emb, dist, a, b)
+                ref[a] += u
+                ref[b] -= u
+        delta = (sol.p1 - sol.p2) / sol.distance
+        case = sol.candidate.case_id
+        for (e1, e2), basis, angle, collapsed, low, high, sign in (
+            ((i, j), problem.basis_x, sol.candidate.alpha, problem.x_collapsed,
+             (1, 5, 6), (2, 7, 8), 1.0),
+            ((k, l), problem.basis_y, sol.candidate.beta, problem.y_collapsed,
+             (3, 5, 7), (4, 6, 8), -1.0),
+        ):
+            dot = float(problem.x1 @ problem.x2) if sign > 0 else float(problem.y1 @ problem.y2)
+            residual = np.linalg.norm(emb[e2] - dot * emb[e1])
+            pinned_low = case in low or collapsed
+            g1, g2 = arc_point_adjoints(
+                emb[e1], emb[e2], basis.n2, dot, residual, angle, sign * delta,
+                pinned_low, case in high and not pinned_low,
+            )
+            ref[e1] -= sum(active) * g1
+            ref[e2] -= sum(active) * g2
+    ref /= 2 * len(table.combos)
+    _, grad = loss_and_grad("loop_triplet", batch, cfg)
+    for row in (0, 1):
+        assert np.linalg.norm(grad[row] - ref[row]) <= 1e-9 * np.linalg.norm(ref[row])

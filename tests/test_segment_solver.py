@@ -3,6 +3,7 @@ import pytest
 
 from hardneg import (
     DegenerateSegment,
+    HardNegError,
     SegmentProblem,
     grid_min_segment,
     optimal_segment_distance,
@@ -118,3 +119,12 @@ def test_scalar_matches_stack(rng):
         sol = optimal_segment_distance(SegmentProblem.from_endpoints(*pts[t]))
         assert abs(sol.distance - stack.distance[t]) < 1e-9
         assert sol.case_id == stack.case_id[t]
+
+
+def test_stack_rejects_non_finite(rng):
+    pts = rng.normal(size=(3, 4, 5))
+    for bad in (np.nan, -np.inf):
+        pts_bad = pts.copy()
+        pts_bad[2, 0, 1] = bad
+        with pytest.raises(HardNegError):
+            solve_segment_stack(pts_bad[:, 0], pts_bad[:, 1], pts_bad[:, 2], pts_bad[:, 3])

@@ -192,3 +192,15 @@ def test_loss_continuity_along_geodesic_sweep():
     moves = np.linalg.norm(np.diff(y2_path, axis=0), axis=1)
     jumps = np.abs(np.diff(sol.distance))
     assert np.all(jumps <= 5.0 * moves + 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(8, 16, 16), (32, 4, 64)], ids=["desk", "wide"])
+def test_evaluate_matches_separate_metrics(shape):
+    classes, per_class, dim = shape
+    spec = SyntheticSpec(num_classes=classes, samples_per_class=per_class, dimension=dim, seed=3)
+    for batch in (generate_synthetic(spec), train(spec, "triplet", LossConfig(), 3).embeddings):
+        ks = (1, 2, 4, 8, 1000)
+        report = evaluate(batch, ks)
+        assert report.recall_at_k == {k: recall_at_k(batch, k) for k in ks}
+        assert report.nmi == nmi(batch, classes)
+        assert report.f1 == f1(batch, classes)
