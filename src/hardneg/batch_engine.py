@@ -82,25 +82,18 @@ def build_pairs(batch: LabeledBatch) -> PairSet:
     interleaved batches pair the 1st/2nd, 3rd/4th, ... occurrences of each
     class. Raises OddClassCount when a class cannot be fully paired.
     """
-    positions: dict = {}
-    idx1, idx2, labels = [], [], []
-    for i, label in enumerate(batch.labels):
-        key = label.item() if hasattr(label, "item") else label
-        if key in positions:
-            idx1.append(positions.pop(key))
-            idx2.append(i)
-            labels.append(label)
-        else:
-            positions[key] = i
-    if positions:
-        bad = sorted(str(k) for k in positions)
+    labels = np.asarray(batch.labels)
+    # Samples grouped by class in batch order. Every class count is even
+    # exactly when each (even, odd) position pair holds one class.
+    grouped = np.argsort(labels, kind="stable")
+    first, second = grouped[0::2], grouped[1::2]
+    if len(labels) % 2 or np.any(labels[first] != labels[second]):
+        classes, counts = np.unique(labels, return_counts=True)
+        bad = sorted(str(k) for k in classes[counts % 2 == 1].tolist())
         raise OddClassCount(f"classes with odd counts: {', '.join(bad)}")
-    order = np.argsort(np.asarray(idx1), kind="stable")
-    return PairSet(
-        idx1=np.asarray(idx1)[order],
-        idx2=np.asarray(idx2)[order],
-        labels=np.asarray(labels)[order],
-    )
+    order = np.argsort(first)
+    idx1 = first[order]
+    return PairSet(idx1=idx1, idx2=second[order], labels=labels[idx1])
 
 
 def combination_count(batch_size: int, samples_per_class: int) -> int:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import statistics
 import sys
+import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -228,6 +230,13 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _config_int(value, name):
+    """An integer config value; bools and fractional floats are rejected, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_experiment_config(path):
     try:
         with open(path) as fh:
@@ -236,13 +245,17 @@ def _load_experiment_config(path):
         raise ParseError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"experiment config must be a JSON object, got {type(payload).__name__}")
     try:
         spec = SyntheticSpec(**payload.get("spec", {}))
+        if spec.num_classes < 2:
+            raise ValueError(f"spec needs at least 2 classes, got {spec.num_classes}")
         losses = payload["losses"]
         config = LossConfig(**payload.get("loss_config", {}))
-        steps = int(payload.get("steps", 100))
+        steps = _config_int(payload.get("steps", 100), "steps")
         lr = float(payload.get("learning_rate", 0.05))
-        seeds = [int(s) for s in payload.get("seeds", [0])]
+        seeds = [_config_int(s, "seed") for s in payload.get("seeds", [0])]
         variant = payload.get("variant", "arc")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
@@ -251,6 +264,10 @@ def _load_experiment_config(path):
         raise ConfigError(f"unknown losses {unknown}; available: {sorted(LOSS_REGISTRY)}")
     if steps < 0:
         raise ConfigError("steps must be nonnegative")
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
+    if not seeds:
+        raise ConfigError("seeds must name at least one seed")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
     return spec, losses, config, steps, lr, seeds, variant
@@ -258,19 +275,23 @@ def _load_experiment_config(path):
 
 def cmd_experiment(args) -> int:
     spec, losses, config, steps, lr, seeds, variant = _load_experiment_config(args.config)
-    out = _write_manifest("experiment", args.config, args.out_dir, seeds[0] if seeds else None)
+    out = _write_manifest("experiment", args.config, args.out_dir, seeds[0])
     summary = {"spec": asdict(spec), "steps": steps, "learning_rate": lr, "runs": []}
     finals: dict = {name: [] for name in losses}
     for name in losses:
         for seed in seeds:
+            start = time.perf_counter()
             state = train(spec, name, config, steps, learning_rate=lr,
                           seed=seed, variant=variant)
+            train_s = time.perf_counter() - start
             history_path = out / f"history_{name}_seed{seed}.csv"
             with open(history_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["step", "loss", "recall_at_1"])
                 writer.writerows(state.history)
+            start = time.perf_counter()
             report = evaluate(state.embeddings)
+            evaluate_s = time.perf_counter() - start
             final_recall = state.history[-1][2]
             finals[name].append(final_recall)
             summary["runs"].append(
@@ -283,10 +304,12 @@ def cmd_experiment(args) -> int:
                     "nmi": report.nmi,
                     "f1": report.f1,
                     "history_csv": history_path.name,
+                    "train_s": train_s,
+                    "evaluate_s": evaluate_s,
                 }
             )
     summary["median_final_recall_at_1"] = {
-        name: statistics.median(vals) for name, vals in finals.items() if vals
+        name: statistics.median(vals) for name, vals in finals.items()
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)

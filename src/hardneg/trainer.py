@@ -29,6 +29,11 @@ DEFAULT_LEARNING_RATE = 0.05
 # Seed for the deterministic k-means behind NMI / F1.
 _KMEANS_SEED = 0
 
+# Gram-form squared distances carry rounding of a few ulps of the squared
+# norms; k-means candidates closer than this share of the largest squared
+# distance are compared by their explicit norms instead.
+_TIE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -93,54 +98,128 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledBatch:
     )
 
 
-def _neighbor_order(batch: LabeledBatch) -> np.ndarray:
-    """Per sample, the other samples from nearest to farthest (stable ties)."""
+def _sq_chords(batch: LabeledBatch) -> np.ndarray:
+    """(B, B) squared chords 2 - 2 e_i.e_j, clipped at 0, with inf on the diagonal."""
     if batch.batch_size < 2:
         raise ValueError("need at least 2 samples")
     gram = batch.embeddings @ batch.embeddings.T
-    d_sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
-    np.fill_diagonal(d_sq, np.inf)
-    return np.argsort(d_sq, axis=1, kind="stable")[:, :-1]
+    d_sq = np.maximum(2.0 - 2.0 * gram, 0.0)
+    d_sq.flat[:: batch.batch_size + 1] = np.inf
+    return d_sq
 
 
-def _recall_from_order(labels, order: np.ndarray, k: int) -> float:
+def _same_class_ranks(batch: LabeledBatch) -> np.ndarray:
+    """Per sample, the rank of its nearest same-class neighbour among the others.
+
+    The rank is the position in a stable nearest-first order of the other
+    samples: those strictly closer, plus equally close ones of lower index.
+    A sample with no same-class neighbour gets rank inf.
+    """
+    d_sq = _sq_chords(batch)
+    labels = batch.labels
+    same = np.where(labels[:, None] == labels[None, :], d_sq, np.inf)
+    nearest = np.argmin(same, axis=1)[:, None]
+    d_star = np.take_along_axis(same, nearest, axis=1)
+    earlier = np.arange(batch.batch_size)[None, :] < nearest
+    rank = np.count_nonzero(np.where(earlier, d_sq <= d_star, d_sq < d_star), axis=1)
+    return np.where(np.isfinite(d_star[:, 0]), rank, np.inf)
+
+
+def _recall_from_ranks(ranks: np.ndarray, k: int) -> float:
     if k < 1:
         raise ValueError("k must be at least 1")
-    same = labels[order[:, :k]] == labels[:, None]
-    return float(np.mean(np.any(same, axis=1)))
+    return float(np.mean(ranks < k))
 
 
 def recall_at_k(batch: LabeledBatch, k: int) -> float:
     """Fraction of samples whose k nearest neighbors include their class."""
-    return _recall_from_order(batch.labels, _neighbor_order(batch), k)
+    if k == 1:
+        # Rank 0: the first nearest other sample is of the same class.
+        nearest = np.argmin(_sq_chords(batch), axis=1)
+        return float(np.mean(batch.labels[nearest] == batch.labels))
+    return _recall_from_ranks(_same_class_ranks(batch), k)
+
+
+def _explicit_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(m, k) distances as the explicit norm of each difference vector."""
+    return np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+
+
+def _sq_distances(points, sq_norms, centers) -> np.ndarray:
+    """(n, k) squared distances in Gram form |x|^2 - 2 x.c + |c|^2."""
+    return sq_norms[:, None] - 2.0 * (points @ centers.T) + np.einsum("ij,ij->i", centers, centers)
+
+
+def _nearest_centers(points, sq_norms, centers, tol):
+    """First nearest center of each point, and the Gram-form squared distances.
+
+    Rows whose two best candidates lie within tol are decided by the
+    explicit norm, so near ties break exactly as with explicit distances.
+    """
+    sq = _sq_distances(points, sq_norms, centers)
+    nearest = np.argmin(sq, axis=1)
+    if sq.shape[1] > 1:
+        best_two = np.partition(sq, 1, axis=1)
+        close = np.flatnonzero(best_two[:, 1] - best_two[:, 0] <= tol)
+        if close.size:
+            nearest[close] = np.argmin(_explicit_distances(points[close], centers), axis=1)
+    return nearest, sq
+
+
+def _farthest(approx: np.ndarray, tol: float, exact) -> int:
+    """First index maximising exact(rows), evaluated only on rows within tol of approx's max."""
+    rows = np.flatnonzero(approx >= approx.max() - tol)
+    return int(rows[np.argmax(exact(rows))]) if rows.size > 1 else int(rows[0])
 
 
 def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
                            max_iter: int = 100) -> np.ndarray:
-    """Deterministic Lloyd k-means with farthest-point initialization."""
-    n = len(points)
+    """Deterministic Lloyd k-means with farthest-point initialization.
+
+    Distances are compared in Gram form: one (n, D) x (D, n) product for
+    the seeding and one (n, D) x (D, k) product per iteration. Near ties
+    fall back to explicit norms, so every argmin and argmax is the one
+    explicit distances give. Cluster sums add the members in index order
+    from 0.0, as np.mean does for D >= 2 (for D = 1, unit embeddings are
+    +-1 and every sum is exact).
+    """
+    n, dim = points.shape
     k = min(k, n)
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    # |x - c|^2 <= 4 max |x|^2; Gram-form rounding is many orders below this.
+    tol = _TIE_RTOL * 4.0 * sq_norms.max()
     rng = np.random.default_rng(seed)
-    centers = [points[int(rng.integers(n))]]
-    d_min = np.linalg.norm(points - centers[0], axis=1)
+    chosen = [int(rng.integers(n))]
+    pairwise = _sq_distances(points, sq_norms, points)
+    d_min = pairwise[chosen[0]]
     for _ in range(1, k):
-        nxt = int(np.argmax(d_min))
-        centers.append(points[nxt])
-        d_min = np.minimum(d_min, np.linalg.norm(points - centers[-1], axis=1))
-    centers = np.stack(centers)
+        nxt = _farthest(d_min, tol, lambda rows: np.min(
+            _explicit_distances(points[rows], points[chosen]), axis=1))
+        chosen.append(nxt)
+        d_min = np.minimum(d_min, pairwise[nxt])
+    centers = points[chosen]
     assign = np.zeros(n, dtype=int)
+    columns = np.arange(dim)
     for _ in range(max_iter):
-        d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
-        new_assign = np.argmin(d, axis=1)
-        for c in range(k):
-            members = new_assign == c
-            if np.any(members):
-                centers[c] = np.mean(points[members], axis=0)
-            else:
-                # Reseed an empty cluster at the point farthest from its center.
-                far = int(np.argmax(np.min(d, axis=1)))
-                centers[c] = points[far]
-                new_assign[far] = c
+        new_assign, sq = _nearest_centers(points, sq_norms, centers, tol)
+        counts = np.bincount(new_assign, minlength=k)
+        if np.all(counts):
+            sums = np.bincount((new_assign[:, None] * dim + columns).ravel(),
+                               weights=points.ravel(), minlength=k * dim)
+            centers = sums.reshape(k, dim) / counts[:, None]
+        else:
+            # Reseed each empty cluster at the point farthest from its
+            # nearest center, cluster by cluster: a move can empty a later
+            # cluster.
+            far = _farthest(np.min(sq, axis=1), tol, lambda rows: np.min(
+                _explicit_distances(points[rows], centers), axis=1))
+            for c in range(k):
+                members = new_assign == c
+                if np.any(members):
+                    centers[c] = np.mean(points[members], axis=0)
+                else:
+                    centers[c] = points[far]
+                    new_assign[far] = c
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -155,13 +234,12 @@ def _nmi_from_contingency(table: np.ndarray) -> float:
     hv = -np.sum(pc[pc > 0] * np.log(pc[pc > 0]))
     if hu == 0.0 and hv == 0.0:
         return 1.0
-    mi = 0.0
-    nz = np.argwhere(table > 0)
-    for r, c in nz:
-        p = table[r, c] / n
-        mi += p * np.log(p / (pr[r] * pc[c]))
     if hu == 0.0 or hv == 0.0:
         return 0.0
+    r, c = np.nonzero(table)
+    p = table[r, c] / n
+    # Summed one term after another in row-major order (cumsum), not pairwise.
+    mi = np.cumsum(p * np.log(p / (pr[r] * pc[c])))[-1]
     return float(np.clip(2.0 * mi / (hu + hv), 0.0, 1.0))
 
 
@@ -201,11 +279,11 @@ def f1(batch: LabeledBatch, num_clusters: int) -> float:
 
 
 def evaluate(batch: LabeledBatch, ks=(1, 2, 4, 8)) -> EvalReport:
-    """Recall@k for every k from one neighbour ordering, NMI and F1 from one clustering."""
-    order = _neighbor_order(batch)
+    """Recall@k for every k from one set of neighbour ranks, NMI and F1 from one clustering."""
+    ranks = _same_class_ranks(batch)
     table = _cluster_table(batch, batch.num_classes())
     return EvalReport(
-        recall_at_k={k: _recall_from_order(batch.labels, order, k) for k in ks},
+        recall_at_k={k: _recall_from_ranks(ranks, k) for k in ks},
         nmi=_nmi_from_contingency(table),
         f1=_pair_f1_from_contingency(table),
     )

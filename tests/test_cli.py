@@ -233,3 +233,53 @@ def test_misspelled_instance_variant_is_input_error(tmp_path, capsys):
         payload = json.loads(out)
         assert payload["error"] == "ParseError"
         assert "segmnet" in payload["message"]
+
+
+def _experiment_error(tmp_path, capsys, payload):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    out_dir = tmp_path / "x"
+    code, out = run_cli(capsys, "experiment", str(config), "--out-dir", str(out_dir))
+    assert code == 2
+    assert json.loads(out)["error"] == "ConfigError"
+    assert not out_dir.exists()  # rejected before the manifest is written
+
+
+SMALL_SPEC = {"num_classes": 3, "samples_per_class": 4, "dimension": 6}
+
+
+def test_experiment_config_not_an_object(tmp_path, capsys):
+    _experiment_error(tmp_path, capsys, ["triplet"])
+
+
+def test_experiment_single_class_spec(tmp_path, capsys):
+    spec = dict(SMALL_SPEC, num_classes=1)
+    _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
+
+
+def test_experiment_bad_learning_rate(tmp_path, capsys):
+    for lr in ("nan", "inf", 0.0, -0.05):
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                             "steps": 1, "learning_rate": lr})
+
+
+def test_experiment_steps_must_be_integer(tmp_path, capsys):
+    for steps in (2.7, True):
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                             "steps": steps})
+
+
+def test_experiment_empty_seeds(tmp_path, capsys):
+    _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                         "steps": 1, "seeds": []})
+
+
+def test_experiment_summary_records_run_timings(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"spec": SMALL_SPEC, "losses": ["triplet"], "steps": 2,
+                                  "seeds": [0, 1]}))
+    code, out = run_cli(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "exp"))
+    assert code == 0
+    for run in json.loads((tmp_path / "exp" / "summary.json").read_text())["runs"]:
+        assert run["train_s"] > 0.0
+        assert run["evaluate_s"] > 0.0
