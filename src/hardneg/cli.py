@@ -231,8 +231,9 @@ def cmd_oracle(args) -> int:
 
 
 def _config_int(value, name):
-    """An integer config value; bools and fractional floats are rejected, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An integer config value; non-numbers, bools and fractional floats are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -255,10 +256,17 @@ def _load_experiment_config(path):
         config = LossConfig(**payload.get("loss_config", {}))
         steps = _config_int(payload.get("steps", 100), "steps")
         lr = float(payload.get("learning_rate", 0.05))
-        seeds = [_config_int(s, "seed") for s in payload.get("seeds", [0])]
+        seeds = payload.get("seeds", [0])
         variant = payload.get("variant", "arc")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
+    if not (isinstance(losses, list) and losses and all(isinstance(n, str) for n in losses)):
+        raise ConfigError(f"losses must be a non-empty list of loss names, got {losses!r}")
+    if not (isinstance(seeds, list) and seeds):
+        raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
+    seeds = [_config_int(s, "seed") for s in seeds]
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be nonnegative, got {seeds}")
     unknown = [name for name in losses if name not in LOSS_REGISTRY]
     if unknown:
         raise ConfigError(f"unknown losses {unknown}; available: {sorted(LOSS_REGISTRY)}")
@@ -266,8 +274,6 @@ def _load_experiment_config(path):
         raise ConfigError("steps must be nonnegative")
     if not (math.isfinite(lr) and lr > 0.0):
         raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
-    if not seeds:
-        raise ConfigError("seeds must name at least one seed")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
     return spec, losses, config, steps, lr, seeds, variant

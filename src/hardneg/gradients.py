@@ -36,16 +36,11 @@ from .losses import hphn_triplet as _hphn_loss
 from .losses import lifted_structure as _ls_loss
 from .losses import ms_loss as _ms_loss
 from .losses import triplet as _triplet_loss
-from .vectorized import EXPLICIT_NORM_BELOW, SegmentStackSolution
+from .vectorized import CASE_BOUNDS, EXPLICIT_NORM_BELOW, SegmentStackSolution
 
 # Distances below this are treated as kinks of the norm; their gradient
 # contribution is dropped.
 _TINY_DIST = 1e-12
-
-_ALPHA_LOW_CASES = frozenset((1, 5, 6))
-_ALPHA_HIGH_CASES = frozenset((2, 7, 8))
-_BETA_LOW_CASES = frozenset((3, 5, 7))
-_BETA_HIGH_CASES = frozenset((4, 6, 8))
 
 
 def arc_point_adjoints(
@@ -143,15 +138,15 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     dot_x, dot_y, one = sol.dot_x[sel], sol.dot_y[sel], np.ones(n)
     local = np.stack([one, dot_x, x1y1, x1y2, dot_x, one, x2y1, x2y2,
                       x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
-    case = sol.case_id[sel]
+    bounds = CASE_BOUNDS[sol.case_id[sel]]
     sides = (
-        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel], (1, 5, 6), (2, 7, 8)),
-        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel], (3, 5, 7), (4, 6, 8)),
+        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel]),
+        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel]),
     )
     # Unit difference (p1 - p2) / distance in the endpoint basis. A
     # collapsed side sits at angle 0, where n2 does not enter.
     delta = np.zeros((n, 4))
-    for first, angle, c0, res, collapsed, _, _ in sides:
+    for first, angle, c0, res, collapsed in sides:
         sin_over = np.where(collapsed, 0.0, np.sin(angle) / np.where(collapsed, 1.0, res))
         sign = 1.0 if first == 0 else -1.0
         delta[:, first] = sign * (np.cos(angle) - c0 * sin_over)
@@ -159,10 +154,10 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     delta /= sol.distance[sel][:, None]
 
     blocks = np.zeros((n, 4, 4))
-    for first, angle, c0, res, collapsed, low_cases, high_cases in sides:
+    for first, angle, c0, res, collapsed in sides:
         dvec = delta if first == 0 else -delta
-        low = np.isin(case, low_cases) | collapsed
-        high = np.isin(case, high_cases) & ~low
+        low = bounds[:, first] | collapsed
+        high = bounds[:, first + 1] & ~low
         inv_res = np.where(low | high, 0.0, 1.0 / np.where(low | high, 1.0, res))
         n2 = np.zeros((n, 4))
         n2[:, first] = -c0 * inv_res
@@ -372,10 +367,11 @@ def analytic_loop_triplet_grad(
         raise NondifferentiablePoint("winning case at an active-set boundary")
     case = solution.candidate.case_id
     delta = solution.p1 - solution.p2
-    a_low = case in _ALPHA_LOW_CASES or problem.x_collapsed
-    a_high = case in _ALPHA_HIGH_CASES and not a_low
-    b_low = case in _BETA_LOW_CASES or problem.y_collapsed
-    b_high = case in _BETA_HIGH_CASES and not b_low
+    pinned = CASE_BOUNDS[case]
+    a_low = bool(pinned[0]) or problem.x_collapsed
+    a_high = bool(pinned[1]) and not a_low
+    b_low = bool(pinned[2]) or problem.y_collapsed
+    b_high = bool(pinned[3]) and not b_low
     res_x = float(np.sin(problem.alpha0))
     res_y = float(np.sin(problem.beta0))
     g_x1, g_x2 = arc_point_adjoints(

@@ -1,16 +1,24 @@
 """Array-parallel arc and segment solvers.
 
-Solves a stack of independent minimum-distance instances in one pass,
-mirroring the scalar solvers candidate for candidate (same case order,
-same feasibility masks, same tie-breaks), so batch construction can solve
-every pair-of-pairs combination at once. The test suite pins scalar and
-stacked results against each other on random and degenerate inputs.
+Solves a stack of independent minimum-distance instances in one pass, with
+the scalar solvers' case order, feasibility masks and tie-breaks, so batch
+construction can solve every pair-of-pairs combination at once. The test
+suite pins scalar and stacked results against each other on random and
+degenerate inputs.
 
 Every arc quantity is a function of the six endpoint dots of a row, so one
 core (`_solve_arc_core`) solves from dots alone: `solve_arc_stack` feeds it
 row dots and then forms the optimal points, and `solve_arc_gram` feeds it
 gathers from a Gram matrix E E^T, so its cost per row does not grow with
 the dimension.
+
+The core evaluates ten candidate slots per row: two interior stationary
+points (case 0, both angles free), four edges (cases 1 and 2 pin alpha at 0
+or at its extent and leave beta free, cases 3 and 4 pin beta and leave
+alpha free) and four corners (cases 5..8, both angles pinned). It takes
+sines and cosines only of free angles and of the two extents, forms a
+partial only where its angle carries a multiplier, and builds the winner's
+multipliers after the selection, which reads constant per-case tables.
 """
 
 from __future__ import annotations
@@ -24,9 +32,28 @@ from .errors import DegenerateArc, DegenerateSegment, NonFiniteInput
 from .geometry import DEGENERACY_EPS
 from .segment_solver import EPS_SEGMENT
 
-# Candidate slot layout: two interior candidates then boundary cases 1..8.
+# Candidate slots: two interior candidates (case 0), then cases 1..8. Alpha
+# is free in slots 0, 1, 4 and 5 (cases 0, 3, 4), beta in slots 0..3 (cases
+# 0, 1, 2); every other angle is pinned at 0 or at its arc's extent.
 _SLOT_CASE = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7, 8])
-_N_SLOTS = 10
+_N_SLOTS = len(_SLOT_CASE)
+# Which of the bounds alpha = 0, alpha = alpha0, beta = 0, beta = beta0 each
+# case 0..8 pins.
+CASE_BOUNDS = np.array([[case in pins for pins in ((1, 5, 6), (2, 7, 8), (3, 5, 7), (4, 6, 8))]
+                        for case in range(9)])
+_CORNER = np.arange(9) >= 5
+# The sign that turns each partial into the multiplier of a pinned bound:
+# the multiplier of a lower bound is minus the partial in that angle.
+_CASE_SIGN = np.where(CASE_BOUNDS, [-1.0, 1.0, -1.0, 1.0], 0.0)
+# The slots each collapse code x_col + 2 y_col permits: a collapsed side pins
+# its angle at 0, which restricts the candidates to its 1-D subproblem.
+_ALLOWED = np.stack([np.ones(9, dtype=bool), CASE_BOUNDS[:, 0], CASE_BOUNDS[:, 2],
+                     CASE_BOUNDS[:, 0] & CASE_BOUNDS[:, 2]])
+_ARC_ALLOWED = _ALLOWED[:, _SLOT_CASE]
+# Sign of each case's multiplier on its first and second parameter (0: none).
+_SEG_SIGN = _CASE_SIGN[:, 0::2] + _CASE_SIGN[:, 1::2]
+# Rows of the arc core's angle table that hold each slot's alpha and beta.
+_ANGLE_ROW = np.array([[0, 1, 4, 5, 2, 3, 4, 4, 5, 5], [6, 7, 8, 9, 10, 11, 10, 11, 10, 11]])
 
 # Below this chord, sqrt(2 + 2f) loses too many digits to cancellation
 # (f is near -1), so the distance is taken as the explicit norm of p1 - p2.
@@ -106,75 +133,58 @@ def _arc_side(dot):
     return dot, residual, extent, collapsed
 
 
-def _objective_and_grads(a, b, c, d, al, be):
-    """f(alpha, beta) = -p1.p2 and its two partials, from one set of sines and cosines."""
-    sa, ca = np.sin(al), np.cos(al)
-    sb, cb = np.sin(be), np.cos(be)
-    f = a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
-    ga = a * ca * sb - b * sa * sb + c * ca * cb - d * sa * cb
-    gb = a * sa * cb + b * ca * cb - c * sa * sb - d * ca * sb
-    return f, ga, gb
+def _mod_pi(x):
+    """x % pi for x in [-pi, pi], bit for bit, without np.remainder's division:
+    there fmod is x except at +-pi, and np.remainder adds pi to a negative one."""
+    return x + np.where(x < 0.0, np.pi, np.where(x >= np.pi, -np.pi, 0.0))
 
 
-def _stationary_beta(a, b, c, d, al):
-    sa, ca = np.sin(al), np.cos(al)
-    return np.arctan2(a * sa + b * ca, c * sa + d * ca) % np.pi
+def _objective(a, b, c, d, sa, ca, sb, cb):
+    """f(alpha, beta) = -p1.p2 from the sines and cosines of the two angles.
 
-
-def _select(slot_case, g1, g2, x_col, y_col, in_box, values, allowed):
-    """Multipliers of every candidate slot and the winning slot of each row.
-
-    slot_case maps slots to cases 0..8; g1 and g2 are the objective's
-    partials in the two parameters at each candidate. A candidate is
-    eligible when its multipliers have the feasible sign and it lies in the
-    box; corners always are. A collapsed side restricts the candidate set
-    to its 1-D subproblem, and its multipliers, structurally pinned, carry
-    no information and must not veto candidates. The smallest value wins.
+    Its partial in alpha is the same form with (sa, ca) -> (ca, -sa), and in
+    beta with (sb, cb) -> (cb, -sb).
     """
-    lams = np.zeros(g1.shape + (4,))
-    for slot, case in enumerate(slot_case):
-        if case in (1, 5, 6):
-            lams[:, slot, 0] = -g1[:, slot]
-        if case in (2, 7, 8):
-            lams[:, slot, 1] = g1[:, slot]
-        if case in (3, 5, 7):
-            lams[:, slot, 2] = -g2[:, slot]
-        if case in (4, 6, 8):
-            lams[:, slot, 3] = g2[:, slot]
-    lams[x_col, :, 0:2] = 0.0
-    lams[y_col, :, 2:4] = 0.0
-    eligible = (np.all(lams <= EPS_LAMBDA, axis=2) & in_box) | (slot_case >= 5)
-    allowed[x_col & ~y_col] &= np.isin(slot_case, (1, 5, 6))
-    allowed[y_col & ~x_col] &= np.isin(slot_case, (3, 5, 7))
-    allowed[x_col & y_col] &= slot_case == 5
-    winner = np.argmin(np.where(eligible & allowed, values, np.inf), axis=1)
-    return lams, winner
+    return a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
 
 
-def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
-    """Solve n arc problems of unit endpoints from their six endpoint dots.
+def _partials(a, b, c, d, angles):
+    """df/dalpha and df/dbeta at the rows (alpha, beta) of angles."""
+    (sa, sb), (ca, cb) = np.sin(angles), np.cos(angles)
+    return _objective(a, b, c, d, ca, -sa, sb, cb), _objective(a, b, c, d, sa, ca, cb, -sb)
 
-    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
-    replace it where it falls below EXPLICIT_NORM_BELOW.
+
+def _select(values, ok, code, allowed):
+    """Winning slot of each row: the smallest value among its eligible slots.
+
+    values and ok are (slots, n); ok marks candidates in the box whose
+    multipliers have the feasible sign, and corners always. allowed[code]
+    keeps the slots a row's collapse code permits. The first minimum wins.
     """
-    n = len(dot_x)
-    dot_x, res_x, alpha0, x_col = _arc_side(dot_x)
-    dot_y, res_y, beta0, y_col = _arc_side(dot_y)
+    return np.argmin(np.where(ok & allowed[code].T, values, np.inf), axis=0)
 
-    # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
-    # the terms divided by its residual only multiply the sine of its
-    # pinned angle, sin(0) = 0, and are set to 0.
-    inv_x = np.where(x_col, 0.0, 1.0 / np.where(x_col, 1.0, res_x))
-    inv_y = np.where(y_col, 0.0, 1.0 / np.where(y_col, 1.0, res_y))
-    a = -(x2y2 - dot_y * x2y1 - dot_x * x1y2 + dot_x * dot_y * x1y1) * inv_x * inv_y
-    b = -(x1y2 - dot_y * x1y1) * inv_y
-    c = -(x2y1 - dot_x * x1y1) * inv_x
-    d = -x1y1
 
-    alpha_c = np.zeros((n, _N_SLOTS))
-    beta_c = np.zeros((n, _N_SLOTS))
+def _arc_candidates(a, b, c, d, alpha0, beta0):
+    """The (12, n) angle table and the (slots, n) values and eligibility.
 
-    # Interior quadratic in tan(alpha); roots multiply to -1.
+    Table rows 0..5 hold the free alphas of slots 0, 1, 4, 5, then 0 and
+    alpha0; rows 6..11 the free betas of slots 0..3, then 0 and beta0. Only
+    free angles and extents take sines and cosines; a zero angle enters in
+    closed form, sin 0 = 0 and cos 0 = 1 multiplied out, which leaves each
+    value as the general form gives it (x * 0 = +-0, x * 1 = x). The sine
+    tables die on return, before the selection allocates its own arrays.
+    """
+    n = len(a)
+    ang = np.empty((12, n))
+    al, be = ang[:6], ang[6:]
+    al[4] = be[4] = 0.0
+    al[5] = alpha0
+    be[5] = beta0
+    sa0, ca0 = np.sin(alpha0), np.cos(alpha0)
+    sb0, cb0 = np.sin(beta0), np.cos(beta0)
+    # Interior: a quadratic in tan(alpha) whose roots multiply to -1, and the
+    # stationary beta of each root. The fallbacks 0, pi/2 and alpha0 lie in
+    # [0, pi), where the reduction mod pi leaves them as they are.
     lead = a * b + c * d
     big_a = a * a - b * b + c * c - d * d
     generic = np.abs(lead) >= EPS_QUAD
@@ -183,63 +193,84 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     num = big_a + np.where(big_a >= 0.0, disc, -disc)
     safe_lead = np.where(generic, lead, 1.0)
     t_big = np.where(generic, num / (2.0 * safe_lead), 1.0)
-    al_first = np.where(generic, np.arctan(t_big) % np.pi, 0.0)
-    al_second = np.where(
-        generic,
-        np.arctan(-1.0 / t_big) % np.pi,
-        np.where(linear, np.pi / 2.0, alpha0),
-    )
+    al[0] = np.where(generic, np.arctan(t_big), 0.0)
+    al[1] = np.where(generic, np.arctan(-1.0 / t_big), np.where(linear, np.pi / 2.0, alpha0))
+    al[2] = np.arctan2(c, d)  # case 3: beta = 0
+    al[3] = np.arctan2(a * sb0 + c * cb0, b * sb0 + d * cb0)  # case 4: beta = beta0
+    al[:4] = _mod_pi(al[:4])
+    sa, ca = np.sin(al[:4]), np.cos(al[:4])
+    be[:2] = np.arctan2(a * sa[:2] + b * ca[:2], c * sa[:2] + d * ca[:2])
+    be[2] = np.arctan2(b, d)  # case 1: alpha = 0
+    be[3] = np.arctan2(a * sa0 + b * ca0, c * sa0 + d * ca0)  # case 2: alpha = alpha0
+    be[:4] = _mod_pi(be[:4])
+    sb, cb = np.sin(be[:4]), np.cos(be[:4])
+
+    f = np.empty((n, _N_SLOTS)).T  # slot rows over row-major storage, for argmin
+    f[:2] = _objective(a, b, c, d, sa[:2], ca[:2], sb[:2], cb[:2])
+    f[2] = b * sb[2] + d * cb[2]
+    f[3] = _objective(a, b, c, d, sa0, ca0, sb[3], cb[3])
+    f[4] = c * sa[2] + d * ca[2]
+    f[5] = _objective(a, b, c, d, sa[3], ca[3], sb0, cb0)
+    f[6] = d
+    f[7] = b * sb0 + d * cb0
+    f[8] = c * sa0 + d * ca0
+    f[9] = _objective(a, b, c, d, sa0, ca0, sb0, cb0)
     # Order the two interior candidates by (alpha, beta) for tie-breaking.
-    be_first = _stationary_beta(a, b, c, d, al_first)
-    be_second = _stationary_beta(a, b, c, d, al_second)
-    swap = (al_first > al_second) | ((al_first == al_second) & (be_first > be_second))
-    alpha_c[:, 0] = np.where(swap, al_second, al_first)
-    alpha_c[:, 1] = np.where(swap, al_first, al_second)
-    beta_c[:, 0] = np.where(swap, be_second, be_first)
-    beta_c[:, 1] = np.where(swap, be_first, be_second)
+    swap = (al[0] > al[1]) | ((al[0] == al[1]) & (be[0] > be[1]))
+    for m in (al, be, f):
+        m[:2] = np.where(swap, m[1::-1], m[:2])
+    # Pinned angles lie in the box and free ones, reduced mod pi, are >= 0,
+    # so only the upper bounds of the free angles are tested. An edge's
+    # multiplier is its partial in the pinned angle, negated at 0 (slots 2
+    # and 4); corners always compete.
+    box_a = al[:4] <= alpha0 + EPS_BOX
+    box_b = be[:4] <= beta0 + EPS_BOX
+    ok = np.ones((n, _N_SLOTS), dtype=bool).T
+    ok[:2] = box_a[:2] & box_b[:2]
+    ok[2] = box_b[2] & (a * sb[2] + c * cb[2] >= -EPS_LAMBDA)
+    ok[3] = box_b[3] & (_objective(a, b, c, d, ca0, -sa0, sb[3], cb[3]) <= EPS_LAMBDA)
+    ok[4] = box_a[2] & (a * sa[2] + b * ca[2] >= -EPS_LAMBDA)
+    ok[5] = box_a[3] & (_objective(a, b, c, d, sa[3], ca[3], cb0, -sb0) <= EPS_LAMBDA)
+    return ang, f, ok
 
-    sa0, ca0 = np.sin(alpha0), np.cos(alpha0)
-    sb0, cb0 = np.sin(beta0), np.cos(beta0)
 
-    # Case 1: alpha = 0, beta stationary.
-    beta_c[:, 2] = np.arctan2(b, d) % np.pi
-    # Case 2: alpha = alpha0, beta stationary.
-    alpha_c[:, 3] = alpha0
-    beta_c[:, 3] = np.arctan2(a * sa0 + b * ca0, c * sa0 + d * ca0) % np.pi
-    # Case 3: beta = 0, alpha stationary.
-    alpha_c[:, 4] = np.arctan2(c, d) % np.pi
-    # Case 4: beta = beta0, alpha stationary.
-    alpha_c[:, 5] = np.arctan2(a * sb0 + c * cb0, b * sb0 + d * cb0) % np.pi
-    beta_c[:, 5] = beta0
-    # Corners 5..8.
-    alpha_c[:, 7] = 0.0
-    beta_c[:, 7] = beta0
-    alpha_c[:, 8] = alpha0
-    alpha_c[:, 9] = alpha0
-    beta_c[:, 9] = beta0
+def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
+    """Solve n arc problems of unit endpoints from their six endpoint dots.
 
-    f_c, ga, gb = _objective_and_grads(
-        a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c
-    )
-    in_box = (
-        (alpha_c >= -EPS_BOX)
-        & (alpha_c <= alpha0[:, None] + EPS_BOX)
-        & (beta_c >= -EPS_BOX)
-        & (beta_c <= beta0[:, None] + EPS_BOX)
-    )
-    allowed = np.ones((n, _N_SLOTS), dtype=bool)
-    lams, winner = _select(_SLOT_CASE, ga, gb, x_col, y_col, in_box, f_c, allowed)
-    rows = np.arange(n)
-    f_w = f_c[rows, winner]
+    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
+    replace it where it falls below EXPLICIT_NORM_BELOW.
+    """
+    dot_x, res_x, alpha0, x_col = _arc_side(dot_x)
+    dot_y, res_y, beta0, y_col = _arc_side(dot_y)
+
+    # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
+    # the terms divided by its residual only multiply the sine of its
+    # pinned angle, sin(0) = 0, and are set to 0. Its partial at 0 is then
+    # +-0, so its multipliers vanish and never veto a candidate.
+    inv_x = np.where(x_col, 0.0, 1.0 / np.where(x_col, 1.0, res_x))
+    inv_y = np.where(y_col, 0.0, 1.0 / np.where(y_col, 1.0, res_y))
+    a = -(x2y2 - dot_y * x2y1 - dot_x * x1y2 + dot_x * dot_y * x1y1) * inv_x * inv_y
+    b = -(x1y2 - dot_y * x1y1) * inv_y
+    c = -(x2y1 - dot_x * x1y1) * inv_x
+    d = -x1y1
+
+    ang, f, ok = _arc_candidates(a, b, c, d, alpha0, beta0)
+    winner = _select(f, ok, x_col + 2 * y_col, _ARC_ALLOWED)
+    rows = np.arange(len(winner))
+    case = _SLOT_CASE[winner]
+    angles = ang[_ANGLE_ROW[:, winner], rows]
+    alpha, beta = angles
+    f_w = f[winner, rows]
+    ga, gb = _partials(a, b, c, d, angles)
     return ArcSolution(
-        case_id=_SLOT_CASE[winner],
-        alpha=alpha_c[rows, winner],
-        beta=beta_c[rows, winner],
+        case_id=case,
+        alpha=alpha,
+        beta=beta,
         alpha0=alpha0,
         beta0=beta0,
         f_value=f_w,
         distance=np.sqrt(np.maximum(2.0 + 2.0 * f_w, 0.0)),
-        multipliers=lams[rows, winner, :],
+        multipliers=np.stack([ga, ga, gb, gb], axis=1) * _CASE_SIGN[case],
         coeffs=np.stack([a, b, c, d], axis=1),
         dot_x=dot_x,
         dot_y=dot_y,
@@ -295,7 +326,7 @@ def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
     stationarity condition, so its residual is excluded.
     """
     a, b, c, d = sol.coeffs.T
-    _, ga, gb = _objective_and_grads(a, b, c, d, sol.alpha, sol.beta)
+    ga, gb = _partials(a, b, c, d, np.stack([sol.alpha, sol.beta]))
     r1 = ga + sol.multipliers[:, 0] - sol.multipliers[:, 1]
     r2 = gb + sol.multipliers[:, 2] - sol.multipliers[:, 3]
     r1 = np.where(sol.x_collapsed, 0.0, r1)
@@ -338,46 +369,52 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
     ca, cb, cc = uu, -uv, -uw
     ca2, cb2, cc2 = -uv, vv, vw
 
-    k1_c = np.zeros((n, 9))
-    k2_c = np.zeros((n, 9))
+    # One row per case 0..8.
+    k1_c = np.zeros((9, n))
+    k2_c = np.zeros((9, n))
     safe_a = np.where(ca > 0.0, ca, 1.0)
     safe_b2 = np.where(cb2 > 0.0, cb2, 1.0)
     det = ca2 * cb - ca * cb2
     det_ok = (np.abs(det) >= EPS_SEGMENT * ca * cb2) & ~x_col & ~y_col
     safe_det = np.where(det_ok, det, 1.0)
-    k1_c[:, 0] = (cb2 * cc - cb * cc2) / safe_det
-    k2_c[:, 0] = (ca * cc2 - ca2 * cc) / safe_det
-    k2_c[:, 1] = -cc2 / safe_b2
-    k1_c[:, 2] = 1.0
-    k2_c[:, 2] = -(ca2 + cc2) / safe_b2
-    k1_c[:, 3] = -cc / safe_a
-    k1_c[:, 4] = -(cb + cc) / safe_a
-    k2_c[:, 4] = 1.0
-    k2_c[:, 6] = 1.0
-    k1_c[:, 7] = 1.0
-    k1_c[:, 8] = 1.0
-    k2_c[:, 8] = 1.0
+    k1_c[0] = (cb2 * cc - cb * cc2) / safe_det
+    k2_c[0] = (ca * cc2 - ca2 * cc) / safe_det
+    k2_c[1] = -cc2 / safe_b2
+    k1_c[2] = 1.0
+    k2_c[2] = -(ca2 + cc2) / safe_b2
+    k1_c[3] = -cc / safe_a
+    k1_c[4] = -(cb + cc) / safe_a
+    k2_c[4] = 1.0
+    k2_c[6] = 1.0
+    k1_c[7] = 1.0
+    k1_c[8] = 1.0
+    k2_c[8] = 1.0
 
     # Squared distance at each candidate, evaluated from the quadratic form.
     d2 = (
-        np.sum(w * w, axis=1)[:, None]
-        + k1_c * k1_c * uu[:, None]
-        + k2_c * k2_c * vv[:, None]
-        - 2.0 * k1_c * uw[:, None]
-        + 2.0 * k2_c * vw[:, None]
-        - 2.0 * k1_c * k2_c * uv[:, None]
+        np.sum(w * w, axis=1)
+        + k1_c * k1_c * uu
+        + k2_c * k2_c * vv
+        - 2.0 * k1_c * uw
+        + 2.0 * k2_c * vw
+        - 2.0 * k1_c * k2_c * uv
     )
-    g1 = ca[:, None] * k1_c + cb[:, None] * k2_c + cc[:, None]
-    g2 = ca2[:, None] * k1_c + cb2[:, None] * k2_c + cc2[:, None]
+    g1 = ca * k1_c + cb * k2_c + cc
+    g2 = ca2 * k1_c + cb2 * k2_c + cc2
     in_box = (
         (k1_c >= -EPS_BOX) & (k1_c <= 1.0 + EPS_BOX) & (k2_c >= -EPS_BOX) & (k2_c <= 1.0 + EPS_BOX)
     )
-    allowed = np.ones((n, 9), dtype=bool)
-    allowed[~det_ok, 0] = False
-    _, winner = _select(np.arange(9), g1, g2, x_col, y_col, in_box, d2, allowed)
+    # A collapsed side's multipliers are structurally pinned and veto nothing.
+    ok = (
+        ((g1 * _SEG_SIGN[:, 0:1] <= EPS_LAMBDA) | x_col)
+        & ((g2 * _SEG_SIGN[:, 1:2] <= EPS_LAMBDA) | y_col)
+        & in_box
+    ) | _CORNER[:, None]
+    ok[0] &= det_ok
+    winner = _select(d2, ok, x_col + 2 * y_col, _ALLOWED)
     rows = np.arange(n)
-    k1_w = k1_c[rows, winner]
-    k2_w = k2_c[rows, winner]
+    k1_w = k1_c[winner, rows]
+    k2_w = k2_c[winner, rows]
     p1 = (1.0 - k1_w)[:, None] * x1 + k1_w[:, None] * x2
     p2 = (1.0 - k2_w)[:, None] * y1 + k2_w[:, None] * y2
     dist = np.linalg.norm(p1 - p2, axis=1)

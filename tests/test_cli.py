@@ -283,3 +283,14 @@ def test_experiment_summary_records_run_timings(tmp_path, capsys):
     for run in json.loads((tmp_path / "exp" / "summary.json").read_text())["runs"]:
         assert run["train_s"] > 0.0
         assert run["evaluate_s"] > 0.0
+
+
+def test_experiment_losses_must_be_a_list_of_names(tmp_path, capsys):
+    for losses in ("triplet", [], [["triplet"]]):
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": losses, "steps": 1})
+
+
+def test_experiment_seeds_must_be_nonnegative_integers(tmp_path, capsys):
+    for seeds in ("12", 3, [-1], [0, -2], ["1"]):
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                             "steps": 1, "seeds": seeds})

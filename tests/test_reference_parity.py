@@ -1,16 +1,33 @@
-"""Array code of the evaluation layer and of build_pairs against loop references.
+"""Array code of the evaluation layer, of build_pairs and of the stacked
+solvers against references.
 
-Each reference below is the straightforward loop form of the same
-algorithm: explicit (n, k, D) distances and a per-cluster mean for k-means,
-a stable argsort of the whole distance matrix for recall@k, and a dict scan
-for positive pairing. The array forms must agree with them exactly.
+Each evaluation reference below is the straightforward loop form of the
+same algorithm: explicit (n, k, D) distances and a per-cluster mean for
+k-means, a stable argsort of the whole distance matrix for recall@k, and a
+dict scan for positive pairing. The solver references are the stacked arc
+core and segment stack as they were before slot specialisation: every
+candidate slot evaluated with the general objective and its partials, and
+winners picked through a per-slot multiplier array. The array forms must
+agree with them exactly.
 """
 
 import numpy as np
 import pytest
 
-from hardneg import LabeledBatch, OddClassCount, SyntheticSpec, build_pairs, generate_synthetic
+from hardneg import (
+    LabeledBatch,
+    OddClassCount,
+    SyntheticSpec,
+    build_pairs,
+    generate_synthetic,
+    optimal_distance_table,
+    vectorized,
+)
+from hardneg.arc_solver import EPS_BOX, EPS_LAMBDA, EPS_QUAD
+from hardneg.errors import DegenerateSegment
+from hardneg.segment_solver import EPS_SEGMENT
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
+from hardneg.vectorized import ArcSolution, SegmentStackSolution, _arc_side, _require_finite
 
 
 def reference_kmeans(points, k, seed=0, max_iter=100):
@@ -188,3 +205,340 @@ def test_build_pairs_odd_count_message():
     with pytest.raises(OddClassCount) as got:
         build_pairs(batch)
     assert str(got.value) == str(expected.value) == "classes with odd counts: 1, 10"
+
+
+# Solver references: verbatim copies of the stacked solver code before slot
+# specialisation.
+
+_SLOT_CASE = np.array([0, 0, 1, 2, 3, 4, 5, 6, 7, 8])
+_N_SLOTS = 10
+
+
+def _objective_and_grads(a, b, c, d, al, be):
+    """f(alpha, beta) = -p1.p2 and its two partials, from one set of sines and cosines."""
+    sa, ca = np.sin(al), np.cos(al)
+    sb, cb = np.sin(be), np.cos(be)
+    f = a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
+    ga = a * ca * sb - b * sa * sb + c * ca * cb - d * sa * cb
+    gb = a * sa * cb + b * ca * cb - c * sa * sb - d * ca * sb
+    return f, ga, gb
+
+
+def _stationary_beta(a, b, c, d, al):
+    sa, ca = np.sin(al), np.cos(al)
+    return np.arctan2(a * sa + b * ca, c * sa + d * ca) % np.pi
+
+
+def _select(slot_case, g1, g2, x_col, y_col, in_box, values, allowed):
+    """Multipliers of every candidate slot and the winning slot of each row.
+
+    slot_case maps slots to cases 0..8; g1 and g2 are the objective's
+    partials in the two parameters at each candidate. A candidate is
+    eligible when its multipliers have the feasible sign and it lies in the
+    box; corners always are. A collapsed side restricts the candidate set
+    to its 1-D subproblem, and its multipliers, structurally pinned, carry
+    no information and must not veto candidates. The smallest value wins.
+    """
+    lams = np.zeros(g1.shape + (4,))
+    for slot, case in enumerate(slot_case):
+        if case in (1, 5, 6):
+            lams[:, slot, 0] = -g1[:, slot]
+        if case in (2, 7, 8):
+            lams[:, slot, 1] = g1[:, slot]
+        if case in (3, 5, 7):
+            lams[:, slot, 2] = -g2[:, slot]
+        if case in (4, 6, 8):
+            lams[:, slot, 3] = g2[:, slot]
+    lams[x_col, :, 0:2] = 0.0
+    lams[y_col, :, 2:4] = 0.0
+    eligible = (np.all(lams <= EPS_LAMBDA, axis=2) & in_box) | (slot_case >= 5)
+    allowed[x_col & ~y_col] &= np.isin(slot_case, (1, 5, 6))
+    allowed[y_col & ~x_col] &= np.isin(slot_case, (3, 5, 7))
+    allowed[x_col & y_col] &= slot_case == 5
+    winner = np.argmin(np.where(eligible & allowed, values, np.inf), axis=1)
+    return lams, winner
+
+
+def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
+    """Solve n arc problems of unit endpoints from their six endpoint dots.
+
+    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
+    replace it where it falls below EXPLICIT_NORM_BELOW.
+    """
+    n = len(dot_x)
+    dot_x, res_x, alpha0, x_col = _arc_side(dot_x)
+    dot_y, res_y, beta0, y_col = _arc_side(dot_y)
+
+    # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
+    # the terms divided by its residual only multiply the sine of its
+    # pinned angle, sin(0) = 0, and are set to 0.
+    inv_x = np.where(x_col, 0.0, 1.0 / np.where(x_col, 1.0, res_x))
+    inv_y = np.where(y_col, 0.0, 1.0 / np.where(y_col, 1.0, res_y))
+    a = -(x2y2 - dot_y * x2y1 - dot_x * x1y2 + dot_x * dot_y * x1y1) * inv_x * inv_y
+    b = -(x1y2 - dot_y * x1y1) * inv_y
+    c = -(x2y1 - dot_x * x1y1) * inv_x
+    d = -x1y1
+
+    alpha_c = np.zeros((n, _N_SLOTS))
+    beta_c = np.zeros((n, _N_SLOTS))
+
+    # Interior quadratic in tan(alpha); roots multiply to -1.
+    lead = a * b + c * d
+    big_a = a * a - b * b + c * c - d * d
+    generic = np.abs(lead) >= EPS_QUAD
+    linear = ~generic & (np.abs(big_a) >= EPS_QUAD)
+    disc = np.hypot(big_a, 2.0 * lead)
+    num = big_a + np.where(big_a >= 0.0, disc, -disc)
+    safe_lead = np.where(generic, lead, 1.0)
+    t_big = np.where(generic, num / (2.0 * safe_lead), 1.0)
+    al_first = np.where(generic, np.arctan(t_big) % np.pi, 0.0)
+    al_second = np.where(
+        generic,
+        np.arctan(-1.0 / t_big) % np.pi,
+        np.where(linear, np.pi / 2.0, alpha0),
+    )
+    # Order the two interior candidates by (alpha, beta) for tie-breaking.
+    be_first = _stationary_beta(a, b, c, d, al_first)
+    be_second = _stationary_beta(a, b, c, d, al_second)
+    swap = (al_first > al_second) | ((al_first == al_second) & (be_first > be_second))
+    alpha_c[:, 0] = np.where(swap, al_second, al_first)
+    alpha_c[:, 1] = np.where(swap, al_first, al_second)
+    beta_c[:, 0] = np.where(swap, be_second, be_first)
+    beta_c[:, 1] = np.where(swap, be_first, be_second)
+
+    sa0, ca0 = np.sin(alpha0), np.cos(alpha0)
+    sb0, cb0 = np.sin(beta0), np.cos(beta0)
+
+    # Case 1: alpha = 0, beta stationary.
+    beta_c[:, 2] = np.arctan2(b, d) % np.pi
+    # Case 2: alpha = alpha0, beta stationary.
+    alpha_c[:, 3] = alpha0
+    beta_c[:, 3] = np.arctan2(a * sa0 + b * ca0, c * sa0 + d * ca0) % np.pi
+    # Case 3: beta = 0, alpha stationary.
+    alpha_c[:, 4] = np.arctan2(c, d) % np.pi
+    # Case 4: beta = beta0, alpha stationary.
+    alpha_c[:, 5] = np.arctan2(a * sb0 + c * cb0, b * sb0 + d * cb0) % np.pi
+    beta_c[:, 5] = beta0
+    # Corners 5..8.
+    alpha_c[:, 7] = 0.0
+    beta_c[:, 7] = beta0
+    alpha_c[:, 8] = alpha0
+    alpha_c[:, 9] = alpha0
+    beta_c[:, 9] = beta0
+
+    f_c, ga, gb = _objective_and_grads(
+        a[:, None], b[:, None], c[:, None], d[:, None], alpha_c, beta_c
+    )
+    in_box = (
+        (alpha_c >= -EPS_BOX)
+        & (alpha_c <= alpha0[:, None] + EPS_BOX)
+        & (beta_c >= -EPS_BOX)
+        & (beta_c <= beta0[:, None] + EPS_BOX)
+    )
+    allowed = np.ones((n, _N_SLOTS), dtype=bool)
+    lams, winner = _select(_SLOT_CASE, ga, gb, x_col, y_col, in_box, f_c, allowed)
+    rows = np.arange(n)
+    f_w = f_c[rows, winner]
+    return ArcSolution(
+        case_id=_SLOT_CASE[winner],
+        alpha=alpha_c[rows, winner],
+        beta=beta_c[rows, winner],
+        alpha0=alpha0,
+        beta0=beta0,
+        f_value=f_w,
+        distance=np.sqrt(np.maximum(2.0 + 2.0 * f_w, 0.0)),
+        multipliers=lams[rows, winner, :],
+        coeffs=np.stack([a, b, c, d], axis=1),
+        dot_x=dot_x,
+        dot_y=dot_y,
+        cross=np.stack([x1y1, x1y2, x2y1, x2y2], axis=1),
+        res_x=res_x,
+        res_y=res_y,
+        x_collapsed=x_col,
+        y_collapsed=y_col,
+    )
+
+
+def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
+    """Solve n segment problems given four (n, D) endpoint stacks.
+
+    Rows where both segments collapse are rejected, matching the scalar
+    solver; rows with one collapsed segment fall back to point-vs-segment.
+    """
+    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
+    _require_finite(x1, x2, y1, y2)
+    n = x1.shape[0]
+    u = x1 - x2
+    v = y1 - y2
+    w = x1 - y1
+    uu = np.sum(u * u, axis=1)
+    vv = np.sum(v * v, axis=1)
+    uv = np.sum(u * v, axis=1)
+    uw = np.sum(u * w, axis=1)
+    vw = np.sum(v * w, axis=1)
+    x_col = np.sqrt(uu) <= EPS_SEGMENT
+    y_col = np.sqrt(vv) <= EPS_SEGMENT
+    if np.any(x_col & y_col):
+        raise DegenerateSegment("stack contains doubly collapsed segments")
+
+    ca, cb, cc = uu, -uv, -uw
+    ca2, cb2, cc2 = -uv, vv, vw
+
+    k1_c = np.zeros((n, 9))
+    k2_c = np.zeros((n, 9))
+    safe_a = np.where(ca > 0.0, ca, 1.0)
+    safe_b2 = np.where(cb2 > 0.0, cb2, 1.0)
+    det = ca2 * cb - ca * cb2
+    det_ok = (np.abs(det) >= EPS_SEGMENT * ca * cb2) & ~x_col & ~y_col
+    safe_det = np.where(det_ok, det, 1.0)
+    k1_c[:, 0] = (cb2 * cc - cb * cc2) / safe_det
+    k2_c[:, 0] = (ca * cc2 - ca2 * cc) / safe_det
+    k2_c[:, 1] = -cc2 / safe_b2
+    k1_c[:, 2] = 1.0
+    k2_c[:, 2] = -(ca2 + cc2) / safe_b2
+    k1_c[:, 3] = -cc / safe_a
+    k1_c[:, 4] = -(cb + cc) / safe_a
+    k2_c[:, 4] = 1.0
+    k2_c[:, 6] = 1.0
+    k1_c[:, 7] = 1.0
+    k1_c[:, 8] = 1.0
+    k2_c[:, 8] = 1.0
+
+    # Squared distance at each candidate, evaluated from the quadratic form.
+    d2 = (
+        np.sum(w * w, axis=1)[:, None]
+        + k1_c * k1_c * uu[:, None]
+        + k2_c * k2_c * vv[:, None]
+        - 2.0 * k1_c * uw[:, None]
+        + 2.0 * k2_c * vw[:, None]
+        - 2.0 * k1_c * k2_c * uv[:, None]
+    )
+    g1 = ca[:, None] * k1_c + cb[:, None] * k2_c + cc[:, None]
+    g2 = ca2[:, None] * k1_c + cb2[:, None] * k2_c + cc2[:, None]
+    in_box = (
+        (k1_c >= -EPS_BOX) & (k1_c <= 1.0 + EPS_BOX) & (k2_c >= -EPS_BOX) & (k2_c <= 1.0 + EPS_BOX)
+    )
+    allowed = np.ones((n, 9), dtype=bool)
+    allowed[~det_ok, 0] = False
+    _, winner = _select(np.arange(9), g1, g2, x_col, y_col, in_box, d2, allowed)
+    rows = np.arange(n)
+    k1_w = k1_c[rows, winner]
+    k2_w = k2_c[rows, winner]
+    p1 = (1.0 - k1_w)[:, None] * x1 + k1_w[:, None] * x2
+    p2 = (1.0 - k2_w)[:, None] * y1 + k2_w[:, None] * y2
+    dist = np.linalg.norm(p1 - p2, axis=1)
+    return SegmentStackSolution(
+        case_id=winner, k1=k1_w, k2=k2_w, distance=dist, p1=p1, p2=p2
+    )
+
+
+def assert_same_fields(new, ref):
+    for name, value in vars(ref).items():
+        assert np.array_equal(getattr(new, name), value), name
+
+
+def row_dots(x1, x2, y1, y2):
+    ends = ((x1, x2), (y1, y2), (x1, y1), (x1, y2), (x2, y1), (x2, y2))
+    return tuple(np.sum(u * v, axis=1) for u, v in ends)
+
+
+def assert_arc_core_matches(x1, x2, y1, y2):
+    dots = row_dots(x1, x2, y1, y2)
+    assert_same_fields(vectorized._solve_arc_core(*dots), _solve_arc_core(*dots))
+
+
+def unit(rows):
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+SOLVER_SHAPES = {"8x16-D16": (8, 16, 16), "32x4-D64": (32, 4, 64), "4x4-D8": (4, 4, 8)}
+
+
+@pytest.mark.parametrize("concentration", [2.5, 40.0])
+@pytest.mark.parametrize("shape", list(SOLVER_SHAPES), ids=list(SOLVER_SHAPES))
+def test_solvers_match_reference_on_batches(shape, concentration):
+    classes, per_class, dim = SOLVER_SHAPES[shape]
+    for seed in range(3):
+        spec = SyntheticSpec(classes, per_class, dim, concentration=concentration, seed=seed)
+        batch = generate_synthetic(spec)
+        table = optimal_distance_table(batch)
+        i, j, k, l = table.combos.T
+        g = table.gram
+        dots = (g[i, j], g[k, l], g[i, k], g[i, l], g[j, k], g[j, l])
+        assert_same_fields(vectorized._solve_arc_core(*dots), _solve_arc_core(*dots))
+        rows = [batch.embeddings[table.combos[:, col]] for col in range(4)]
+        assert_arc_core_matches(*rows)
+        assert_same_fields(vectorized.solve_segment_stack(*rows), solve_segment_stack(*rows))
+
+
+def degenerate_stacks(rng, n, dim):
+    """Four unit stacks whose row blocks have x1 = x2, y1 = y2, both, a shared
+    endpoint, one row repeated, and the y arc near the antipode of the x arc."""
+    x1, x2, y1, y2 = (unit(rng.normal(size=(n, dim))) for _ in range(4))
+    k = n // 6
+    x2[:k] = x1[:k]
+    y2[k:2 * k] = y1[k:2 * k]
+    x2[2 * k:3 * k] = x1[2 * k:3 * k]
+    y2[2 * k:3 * k] = y1[2 * k:3 * k]
+    y1[3 * k:4 * k] = x1[3 * k:4 * k]
+    for m in (x1, x2, y1, y2):
+        m[4 * k:5 * k] = m[4 * k]
+    y1[5 * k:] = unit(-x1[5 * k:] + 0.3 * rng.normal(size=(n - 5 * k, dim)))
+    y2[5 * k:] = unit(-x2[5 * k:] + 0.3 * rng.normal(size=(n - 5 * k, dim)))
+    return x1, x2, y1, y2
+
+
+@pytest.mark.parametrize("dim", [3, 8, 64])
+def test_arc_core_matches_reference_on_degenerate_stacks(dim):
+    rng = np.random.default_rng(dim)
+    stacks = degenerate_stacks(rng, 300, dim)
+    sol = vectorized._solve_arc_core(*row_dots(*stacks))
+    assert sol.x_collapsed.any() and sol.y_collapsed.any()
+    assert (sol.x_collapsed & sol.y_collapsed).any()
+    assert_arc_core_matches(*stacks)
+
+
+def test_arc_core_matches_reference_on_forced_branches():
+    # Cross dots that vanish make lead = ab + cd zero up to rounding, below
+    # EPS_QUAD: with all four zero both interior branches fail; with
+    # y1 = x1 or y1 = x2 and the rest orthogonal, the linear one is taken.
+    # Random rotations supply the rounding; random rows keep the generic
+    # branch in the same stacks.
+    rng = np.random.default_rng(7)
+    e = np.eye(6)
+    configs = [(e[0], e[1], e[2], e[3]), (e[0], e[1], e[0], e[2]), (e[0], e[1], e[1], e[2])]
+    stacks = [[], [], [], []]
+    for config in configs:
+        for _ in range(40):
+            q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+            for stack, point in zip(stacks, config):
+                stack.append(q @ point)
+    stacks = [np.concatenate([np.array(m), unit(rng.normal(size=(60, 6)))]) for m in stacks]
+    sol = vectorized._solve_arc_core(*row_dots(*stacks))
+    a, b, c, d = sol.coeffs.T
+    lead, big_a = a * b + c * d, a * a - b * b + c * c - d * d
+    assert np.sum(np.abs(lead) < EPS_QUAD) == 120
+    assert np.sum((np.abs(lead) < EPS_QUAD) & (np.abs(big_a) >= EPS_QUAD)) == 80
+    assert_arc_core_matches(*stacks)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_segment_stack_matches_reference(dim):
+    # Collapsed x or y segments, parallel pairs (a vanishing determinant),
+    # half of them shifted orthogonally so that a whole range is optimal,
+    # shared endpoints and repeated rows, next to generic ones.
+    rng = np.random.default_rng(dim)
+    x1, x2, y1, y2 = (2.0 * rng.normal(size=(300, dim)) for _ in range(4))
+    x2[:40] = x1[:40]
+    y2[40:80] = y1[40:80]
+    shift = rng.normal(size=(40, dim))
+    u = x2[80:120] - x1[80:120]
+    shift[:20] -= np.sum(shift[:20] * u[:20], axis=1, keepdims=True) * u[:20] / np.sum(
+        u[:20] * u[:20], axis=1, keepdims=True)
+    y1[80:120], y2[80:120] = x1[80:120] + shift, x2[80:120] + shift
+    y1[120:160] = x2[120:160]
+    for m in (x1, x2, y1, y2):
+        m[160:200] = m[160]
+    new = vectorized.solve_segment_stack(x1, x2, y1, y2)
+    assert set(np.unique(new.case_id)) >= {0, 1, 3}
+    assert_same_fields(new, solve_segment_stack(x1, x2, y1, y2))
