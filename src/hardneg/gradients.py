@@ -6,7 +6,9 @@ at 0 makes the optimal point the first endpoint (identity Jacobian), an
 angle pinned at the arc extent makes it the second endpoint, and a free
 angle is held at its stationary value, where the envelope theorem makes
 the fixed-angle derivative exact. Sensitivities of the stationary angles
-themselves are never formed.
+themselves are never formed. Each gradient is one (B, B) coefficient matrix
+times E; an arc row's 4x4 block of it comes in closed form from the solve's
+(a, b, c, d) and the winning angles, with no second pass over the dots.
 
 Hinge subgradients at the kink are taken as 0 (terms contribute only when
 strictly positive).
@@ -41,6 +43,10 @@ from .vectorized import CASE_BOUNDS, EXPLICIT_NORM_BELOW, SegmentStackSolution
 # Distances below this are treated as kinks of the norm; their gradient
 # contribution is dropped.
 _TINY_DIST = 1e-12
+# Per case, the endpoint columns (x1, x2, y1, y2) an angle pinned at its
+# extent takes over, and their adjoint rows there: p1 = x2, -p2 = -y2.
+_PINNED_HIGH = CASE_BOUNDS[:, [1, 1, 3, 3]]
+_HIGH_ROW = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def arc_point_adjoints(
@@ -71,13 +77,13 @@ def _square(n: int, rows, cols, values) -> np.ndarray:
     return flat.reshape(n, n)
 
 
-def chord_grad(emb, dist, weights) -> np.ndarray:
-    """Gradient of sum_ab weights[a, b] * |e_a - e_b| as one (B, B) matrix times E.
+def chord_grad(emb, dist, weights, minus=None) -> np.ndarray:
+    """Gradient of sum_ab weights[a, b] * |e_a - e_b| - minus E as one (B, B) matrix times E.
 
-    With S = weights / dist and A = S + S^T the gradient is
-    rowsum(A) E - A E. Entries with a vanishing distance (a norm kink) are
-    dropped. Below EXPLICIT_NORM_BELOW the 1/d weights would amplify the
-    rounding of A E, so those entries are applied as explicit unit vectors
+    With S = weights / dist and A = S + S^T the matrix is diag(rowsum(A)) - A
+    - minus. Entries with a vanishing distance (a norm kink) are dropped.
+    Below EXPLICIT_NORM_BELOW the 1/d weights would amplify the rounding of
+    the product, so those entries are applied as explicit unit vectors
     (e_a - e_b) / d instead.
     """
     keep = (weights != 0) & (dist > _TINY_DIST)
@@ -85,7 +91,10 @@ def chord_grad(emb, dist, weights) -> np.ndarray:
     far = keep & ~near
     s = np.where(far, weights / np.where(far, dist, 1.0), 0.0)
     a = s + s.T
-    grad = a.sum(axis=1)[:, None] * emb - a @ emb
+    a.flat[:: len(a) + 1] = -a.sum(axis=1)
+    if minus is not None:
+        a += minus
+    grad = -(a @ emb)
     if np.any(near):
         heads, tails = np.nonzero(near)
         u = (weights[near] / dist[near])[:, None] * (emb[heads] - emb[tails])
@@ -97,82 +106,72 @@ def chord_grad(emb, dist, weights) -> np.ndarray:
     return grad
 
 
-def optimal_distance_grad_stack(emb, combos, sol, weights) -> np.ndarray:
-    """Sum of weighted optimal-distance gradients over a table, as M E.
+def optimal_distance_grad_stack(n, combos, sol, weights) -> np.ndarray:
+    """(n, n) matrix M such that M E sums the weighted optimal-distance gradients of a table.
 
     Every optimal point is a linear combination of its row's four
     endpoints, so each row's gradient is a 4x4 block of coefficients:
     block[col, m] is the weight of endpoint m in the adjoint of endpoint
-    col. The blocks of all rows are summed into one (B, B) matrix M.
-    Arc rows apply per-combination pinning from the winning cases; segment
-    rows hold k1 and k2 fixed, so the adjoints of p1 = (1 - k1) x1 + k1 x2
-    and p2 = (1 - k2) y1 + k2 y2 are (1 - k1, k1, -(1 - k2), -k2) times the
-    unit difference. Combinations with zero weight or a vanishing distance
-    (a norm kink) contribute nothing.
+    col. Arc rows apply per-combination pinning from the winning cases;
+    segment rows hold k1 and k2 fixed, so the adjoints of p1 = (1 - k1) x1 +
+    k1 x2 and p2 = (1 - k2) y1 + k2 y2 are (1 - k1, k1, -(1 - k2), -k2) times
+    the unit difference. Combinations with zero weight or a vanishing
+    distance (a norm kink) contribute nothing.
     """
-    sel = np.flatnonzero((np.asarray(weights) != 0) & (sol.distance > _TINY_DIST))
-    if len(sel) == 0:
-        return np.zeros_like(emb)
+    sel = np.flatnonzero((weights != 0) & (sol.distance > _TINY_DIST))
     if isinstance(sol, SegmentStackSolution):
         k1, k2 = sol.k1[sel], sol.k2[sel]
         ends = np.stack([1.0 - k1, k1, -(1.0 - k2), -k2], axis=1)
         blocks = ends[:, :, None] * ends[:, None, :] / sol.distance[sel][:, None, None]
     else:
         blocks = _arc_adjoint_blocks(sol, sel)
+    blocks *= weights[sel][:, None, None]
     rows = combos[sel]
-    w = np.asarray(weights, dtype=float)[sel][:, None, None]
-    m = _square(len(emb), rows[:, :, None], rows[:, None, :], w * blocks)
-    return m @ emb
+    return _square(n, rows[:, :, None], rows[:, None, :], blocks)
 
 
 def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     """(n, 4, 4) adjoint coefficients of the selected arc rows over (x1, x2, y1, y2).
 
-    A point is p = e1 cos(a) + n2 sin(a) with n2 = (e2 - c0 e1) / s. Pinned
-    angles keep their endpoint identity (cases and collapsed sides); free
-    angles apply the Jacobians of the basis construction, with every dot
-    product read from the rows' local Gram matrix.
+    A point p = e1 cos(t) + n2 sin(t), n2 = (e2 - c0 e1) / s, has endpoint
+    coefficients (cos t - c0 sin t / s, sin t / s). With t held fixed its
+    adjoint is that row times the unit difference delta = (p1 - p2) / rho,
+    plus the Jacobian of n2 in its side's own two columns. At t = 0 (a lower
+    pin or a collapsed side) this is the identity; an upper pin makes p = e2.
+    The dots of delta come from the solve's (a, b, c, d) = -(n2x.n2y, x1.n2y,
+    n2x.y1, x1.y1) and the winning angles: rho delta.x1 = cos a + d cos b +
+    b sin b, rho delta.n2x = sin a + c cos b + a sin b, and the same for
+    -delta on the y side with b and c swapped.
     """
-    n = len(sel)
-    x1y1, x1y2, x2y1, x2y2 = sol.cross[sel].T
-    dot_x, dot_y, one = sol.dot_x[sel], sol.dot_y[sel], np.ones(n)
-    local = np.stack([one, dot_x, x1y1, x1y2, dot_x, one, x2y1, x2y2,
-                      x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
-    bounds = CASE_BOUNDS[sol.case_id[sel]]
-    sides = (
-        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel]),
-        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel]),
+    a, b, c, d = sol.coeffs[sel].T
+    alpha, beta, rho = sol.alpha[sel], sol.beta[sel], sol.distance[sel]
+    ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
+    high = _PINNED_HIGH[sol.case_id[sel]]
+    sides = (  # first column, cos, sin, c0, s, collapsed, rho delta.e1, rho delta.n2
+        (0, ca, sa, sol.dot_x[sel], sol.res_x[sel], sol.x_collapsed[sel],
+         ca + d * cb + b * sb, sa + c * cb + a * sb),
+        (2, cb, sb, sol.dot_y[sel], sol.res_y[sel], sol.y_collapsed[sel],
+         cb + d * ca + c * sa, sb + b * ca + a * sa),
     )
-    # Unit difference (p1 - p2) / distance in the endpoint basis. A
-    # collapsed side sits at angle 0, where n2 does not enter.
-    delta = np.zeros((n, 4))
-    for first, angle, c0, res, collapsed in sides:
-        sin_over = np.where(collapsed, 0.0, np.sin(angle) / np.where(collapsed, 1.0, res))
-        sign = 1.0 if first == 0 else -1.0
-        delta[:, first] = sign * (np.cos(angle) - c0 * sin_over)
-        delta[:, first + 1] = sign * sin_over
-    delta /= sol.distance[sel][:, None]
-
-    blocks = np.zeros((n, 4, 4))
-    for first, angle, c0, res, collapsed in sides:
-        dvec = delta if first == 0 else -delta
-        low = bounds[:, first] | collapsed
-        high = bounds[:, first + 1] & ~low
-        inv_res = np.where(low | high, 0.0, 1.0 / np.where(low | high, 1.0, res))
-        n2 = np.zeros((n, 4))
-        n2[:, first] = -c0 * inv_res
-        n2[:, first + 1] = inv_res
-        along = np.einsum("ra,rab,rb->r", dvec, local, n2)
-        dt = dvec - along[:, None] * n2
-        dt_e1 = np.einsum("rb,rb->r", local[:, first], dt)
-        s_over = (np.sin(angle) * inv_res)[:, None]
-        g1 = np.cos(angle)[:, None] * dvec - s_over * c0[:, None] * dt
-        g1[:, first + 1] -= s_over[:, 0] * dt_e1
-        g2 = s_over * dt
-        g2[:, first] -= s_over[:, 0] * dt_e1
-        lowc, highc = low[:, None], high[:, None]
-        blocks[:, first] = np.where(lowc, dvec, np.where(highc, 0.0, g1))
-        blocks[:, first + 1] = np.where(lowc, 0.0, np.where(highc, dvec, g2))
+    ends = np.empty((len(sel), 4))  # endpoint coefficients of p1 and -p2
+    jacobians = []
+    for first, cos, sin, c0, res, collapsed, e1_dot, n2_dot in sides:
+        inv = np.where(collapsed, 0.0, 1.0 / np.where(collapsed, 1.0, res))
+        s_over = sin * inv
+        ends[:, first] = cos - c0 * s_over
+        ends[:, first + 1] = s_over
+        # Unless pinned at the extent, n2's Jacobian adds s_over (c0 (delta.n2)
+        # n2 - (delta.e1) e2) to row e1, -s_over ((delta.n2) n2 + (delta.e1) e1) to e2.
+        scale = np.where(high[:, first], 0.0, s_over) / rho
+        k = scale * n2_dot * inv
+        jacobians.append((first, c0 * c0 * k, c0 * k - scale * e1_dot, k))
+    ends[:, 2:] *= -1.0
+    blocks = np.where(high, _HIGH_ROW, ends)[:, :, None] * (ends / rho[:, None])[:, None, :]
+    for first, j11, j12, j22 in jacobians:
+        blocks[:, first, first] -= j11
+        blocks[:, first, first + 1] += j12
+        blocks[:, first + 1, first] += j12
+        blocks[:, first + 1, first + 1] -= j22
     return blocks
 
 
@@ -209,10 +208,9 @@ def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
     # Both sides of every combination play the positive pair once.
     heads, tails = combos[:, [0, 2]], combos[:, [1, 3]]
     active = dist[heads, tails] - table.distances[:, None] + config.margin > 0.0
-    grad = chord_grad(emb, dist, _square(len(emb), heads, tails, active))
-    grad -= optimal_distance_grad_stack(emb, combos, table.solution, active.sum(axis=1))
-    grad /= _norm_factor(batch, config, 2 * len(combos))
-    return loss, grad
+    m = optimal_distance_grad_stack(len(emb), combos, table.solution, active.sum(axis=1))
+    grad = chord_grad(emb, dist, _square(len(emb), heads, tails, active), m)
+    return loss, grad / _norm_factor(batch, config, 2 * len(combos))
 
 
 def _pair_loss_grad(batch, config, table, positive_is_distance):
@@ -234,15 +232,13 @@ def _pair_loss_grad(batch, config, table, positive_is_distance):
     else:
         hn = table.pair_min
     active = hp + config.margin - hn > 0.0
-    weights = _square(len(emb), hp_a, hp_b, active)
+    weights, m = _square(len(emb), hp_a, hp_b, active), None
     if table is None:
         weights -= _square(len(emb), hn_a, hn_b, active)
-    grad = chord_grad(emb, dist, weights)
-    if table is not None:
+    else:
         nearest = np.bincount(table.nearest[active], minlength=len(table.combos))
-        grad -= optimal_distance_grad_stack(emb, table.combos, table.solution, nearest)
-    grad /= _norm_factor(batch, config, len(pairs))
-    return grad
+        m = optimal_distance_grad_stack(len(emb), table.combos, table.solution, nearest)
+    return chord_grad(emb, dist, weights, m) / _norm_factor(batch, config, len(pairs))
 
 
 def hphn_grad(batch: LabeledBatch, config: LossConfig):

@@ -36,6 +36,9 @@ class LossConfig:
     normalization: str = "terms"  # or "classes"
 
     def __post_init__(self):
+        for name in ("margin", "ms_epsilon", "ms_margin", "ms_alpha", "ms_beta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.ms_alpha <= 0 or self.ms_beta <= 0:

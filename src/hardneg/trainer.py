@@ -46,12 +46,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_class % 2 != 0:
-            raise ValueError("samples_per_class must be even")
+        if self.samples_per_class < 2 or self.samples_per_class % 2 != 0:
+            raise ValueError(f"samples_per_class must be even, >= 2: {self.samples_per_class}")
         if self.dimension < 3:
             raise ValueError("dimension must be at least 3")
-        if self.concentration <= 0:
-            raise ValueError("concentration must be positive")
+        if not (np.isfinite(self.concentration) and self.concentration > 0):
+            raise ValueError(f"concentration must be positive and finite, got {self.concentration}")
 
 
 @dataclass

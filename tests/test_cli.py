@@ -294,3 +294,36 @@ def test_experiment_seeds_must_be_nonnegative_integers(tmp_path, capsys):
     for seeds in ("12", 3, [-1], [0, -2], ["1"]):
         _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
                                              "steps": 1, "seeds": seeds})
+
+
+LOSS_CONFIG_FLOATS = ("margin", "ms_epsilon", "ms_margin", "ms_alpha", "ms_beta")
+
+
+def test_experiment_nan_loss_config(tmp_path, capsys):
+    # A NaN margin used to make every hinge test false: exit 0 and loss 0.
+    for name in LOSS_CONFIG_FLOATS:
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                             "steps": 1, "loss_config": {name: float("nan")}})
+
+
+def test_experiment_infinite_loss_config(tmp_path, capsys):
+    for name in LOSS_CONFIG_FLOATS:
+        for value in (float("inf"), float("-inf")):
+            _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["triplet"],
+                                                 "steps": 1, "loss_config": {name: value}})
+
+
+def test_experiment_zero_samples_per_class(tmp_path, capsys):
+    spec = dict(SMALL_SPEC, samples_per_class=0)
+    _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
+
+
+def test_experiment_negative_samples_per_class(tmp_path, capsys):
+    spec = dict(SMALL_SPEC, samples_per_class=-2)
+    _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
+
+
+def test_experiment_non_finite_concentration(tmp_path, capsys):
+    for value in (float("nan"), float("inf")):
+        spec = dict(SMALL_SPEC, concentration=value)
+        _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})

@@ -8,7 +8,10 @@ dict scan for positive pairing. The solver references are the stacked arc
 core and segment stack as they were before slot specialisation: every
 candidate slot evaluated with the general objective and its partials, and
 winners picked through a per-slot multiplier array. The array forms must
-agree with them exactly.
+agree with them exactly. The adjoint-block reference forms every dot of
+the unit difference from each row's local Gram matrix; the closed form
+reorders the arithmetic, so it must agree to 1e-13 of the largest block
+entry.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from hardneg import (
     SyntheticSpec,
     build_pairs,
     generate_synthetic,
+    gradients,
     optimal_distance_table,
     vectorized,
 )
@@ -27,7 +31,13 @@ from hardneg.arc_solver import EPS_BOX, EPS_LAMBDA, EPS_QUAD
 from hardneg.errors import DegenerateSegment
 from hardneg.segment_solver import EPS_SEGMENT
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
-from hardneg.vectorized import ArcSolution, SegmentStackSolution, _arc_side, _require_finite
+from hardneg.vectorized import (
+    CASE_BOUNDS,
+    ArcSolution,
+    SegmentStackSolution,
+    _arc_side,
+    _require_finite,
+)
 
 
 def reference_kmeans(points, k, seed=0, max_iter=100):
@@ -498,13 +508,16 @@ def test_arc_core_matches_reference_on_degenerate_stacks(dim):
     assert_arc_core_matches(*stacks)
 
 
-def test_arc_core_matches_reference_on_forced_branches():
-    # Cross dots that vanish make lead = ab + cd zero up to rounding, below
-    # EPS_QUAD: with all four zero both interior branches fail; with
-    # y1 = x1 or y1 = x2 and the rest orthogonal, the linear one is taken.
-    # Random rotations supply the rounding; random rows keep the generic
-    # branch in the same stacks.
-    rng = np.random.default_rng(7)
+def forced_branch_stacks(rng):
+    """Rotated axis configurations whose cross dots vanish up to rounding,
+    next to random rows.
+
+    Cross dots that vanish make lead = ab + cd zero up to rounding, below
+    EPS_QUAD: with all four zero both interior branches fail; with y1 = x1
+    or y1 = x2 and the rest orthogonal, the linear one is taken. Random
+    rotations supply the rounding; random rows keep the generic branch in
+    the same stacks.
+    """
     e = np.eye(6)
     configs = [(e[0], e[1], e[2], e[3]), (e[0], e[1], e[0], e[2]), (e[0], e[1], e[1], e[2])]
     stacks = [[], [], [], []]
@@ -513,7 +526,11 @@ def test_arc_core_matches_reference_on_forced_branches():
             q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
             for stack, point in zip(stacks, config):
                 stack.append(q @ point)
-    stacks = [np.concatenate([np.array(m), unit(rng.normal(size=(60, 6)))]) for m in stacks]
+    return [np.concatenate([np.array(m), unit(rng.normal(size=(60, 6)))]) for m in stacks]
+
+
+def test_arc_core_matches_reference_on_forced_branches():
+    stacks = forced_branch_stacks(np.random.default_rng(7))
     sol = vectorized._solve_arc_core(*row_dots(*stacks))
     a, b, c, d = sol.coeffs.T
     lead, big_a = a * b + c * d, a * a - b * b + c * c - d * d
@@ -542,3 +559,115 @@ def test_segment_stack_matches_reference(dim):
     new = vectorized.solve_segment_stack(x1, x2, y1, y2)
     assert set(np.unique(new.case_id)) >= {0, 1, 3}
     assert_same_fields(new, solve_segment_stack(x1, x2, y1, y2))
+
+
+# Verbatim copy of gradients._arc_adjoint_blocks before the closed form: it
+# stacks each row's local Gram matrix and projects delta through it.
+def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
+    """(n, 4, 4) adjoint coefficients of the selected arc rows over (x1, x2, y1, y2).
+
+    A point is p = e1 cos(a) + n2 sin(a) with n2 = (e2 - c0 e1) / s. Pinned
+    angles keep their endpoint identity (cases and collapsed sides); free
+    angles apply the Jacobians of the basis construction, with every dot
+    product read from the rows' local Gram matrix.
+    """
+    n = len(sel)
+    x1y1, x1y2, x2y1, x2y2 = sol.cross[sel].T
+    dot_x, dot_y, one = sol.dot_x[sel], sol.dot_y[sel], np.ones(n)
+    local = np.stack([one, dot_x, x1y1, x1y2, dot_x, one, x2y1, x2y2,
+                      x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
+    bounds = CASE_BOUNDS[sol.case_id[sel]]
+    sides = (
+        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel]),
+        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel]),
+    )
+    # Unit difference (p1 - p2) / distance in the endpoint basis. A
+    # collapsed side sits at angle 0, where n2 does not enter.
+    delta = np.zeros((n, 4))
+    for first, angle, c0, res, collapsed in sides:
+        sin_over = np.where(collapsed, 0.0, np.sin(angle) / np.where(collapsed, 1.0, res))
+        sign = 1.0 if first == 0 else -1.0
+        delta[:, first] = sign * (np.cos(angle) - c0 * sin_over)
+        delta[:, first + 1] = sign * sin_over
+    delta /= sol.distance[sel][:, None]
+
+    blocks = np.zeros((n, 4, 4))
+    for first, angle, c0, res, collapsed in sides:
+        dvec = delta if first == 0 else -delta
+        low = bounds[:, first] | collapsed
+        high = bounds[:, first + 1] & ~low
+        inv_res = np.where(low | high, 0.0, 1.0 / np.where(low | high, 1.0, res))
+        n2 = np.zeros((n, 4))
+        n2[:, first] = -c0 * inv_res
+        n2[:, first + 1] = inv_res
+        along = np.einsum("ra,rab,rb->r", dvec, local, n2)
+        dt = dvec - along[:, None] * n2
+        dt_e1 = np.einsum("rb,rb->r", local[:, first], dt)
+        s_over = (np.sin(angle) * inv_res)[:, None]
+        g1 = np.cos(angle)[:, None] * dvec - s_over * c0[:, None] * dt
+        g1[:, first + 1] -= s_over[:, 0] * dt_e1
+        g2 = s_over * dt
+        g2[:, first] -= s_over[:, 0] * dt_e1
+        lowc, highc = low[:, None], high[:, None]
+        blocks[:, first] = np.where(lowc, dvec, np.where(highc, 0.0, g1))
+        blocks[:, first + 1] = np.where(lowc, 0.0, np.where(highc, dvec, g2))
+    return blocks
+
+
+def adjoint_solutions(kind):
+    """Arc solutions to check the adjoint blocks on: tables of seeded batches
+    (Gram path), degenerate stacks and forced-branch stacks (row path)."""
+    if kind == "batches":
+        for classes, per_class, dim in SOLVER_SHAPES.values():
+            for concentration in (2.5, 40.0):
+                for seed in range(3):
+                    spec = SyntheticSpec(classes, per_class, dim, concentration=concentration,
+                                         seed=seed)
+                    yield optimal_distance_table(generate_synthetic(spec)).solution
+    elif kind == "degenerate":
+        for dim in (3, 8, 64):
+            yield vectorized.solve_arc_stack(*degenerate_stacks(np.random.default_rng(dim), 300, dim))
+    else:
+        yield vectorized.solve_arc_stack(*forced_branch_stacks(np.random.default_rng(7)))
+
+
+ADJOINT_KINDS = ["batches", "degenerate", "forced"]
+
+
+@pytest.mark.parametrize("kind", ADJOINT_KINDS)
+def test_adjoint_blocks_match_reference(kind):
+    for sol in adjoint_solutions(kind):
+        sel = np.flatnonzero(sol.distance > gradients._TINY_DIST)
+        ref = _arc_adjoint_blocks(sol, sel)
+        new = gradients._arc_adjoint_blocks(sol, sel)
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_adjoint_inputs_cover_every_case():
+    cases = np.concatenate([sol.case_id[sol.distance > gradients._TINY_DIST]
+                            for kind in ADJOINT_KINDS for sol in adjoint_solutions(kind)])
+    assert set(cases.tolist()) == set(range(9))
+
+
+@pytest.mark.parametrize("shape", list(SOLVER_SHAPES), ids=list(SOLVER_SHAPES))
+def test_optimal_distance_grad_stack_matches_reference_on_row_subset(shape):
+    # The loop_hphn and loop_ls path: integer weights on a subset of rows
+    # (each pair's nearest row), every other row weighted 0.
+    classes, per_class, dim = SOLVER_SHAPES[shape]
+    rng = np.random.default_rng(3)
+    for seed in range(3):
+        batch = generate_synthetic(SyntheticSpec(classes, per_class, dim, seed=seed))
+        table = optimal_distance_table(batch)
+        sol, n = table.solution, batch.batch_size
+        picked = rng.choice(len(table.combos), size=len(table.combos) // 3)
+        weights = np.bincount(np.concatenate([table.nearest, picked]), minlength=len(table.combos))
+        sel = np.flatnonzero(weights)
+        assert 0 < len(sel) < len(weights)
+        ref = np.zeros((n, n))
+        rows = table.combos[sel]
+        np.add.at(ref, (rows[:, :, None], rows[:, None, :]),
+                  weights[sel][:, None, None] * _arc_adjoint_blocks(sol, sel))
+        new = gradients.optimal_distance_grad_stack(n, table.combos, sol, weights)
+        assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
+        emb = batch.embeddings
+        assert np.max(np.abs(new @ emb - ref @ emb)) <= 1e-13 * np.max(np.abs(ref @ emb))
