@@ -9,15 +9,7 @@ losses and a desk-scale trainer with verification oracles throughout.
 
 __version__ = "0.1.0"
 
-from .arc_solver import (
-    ArcProblem,
-    KktCandidate,
-    KktSolution,
-    check_kkt,
-    optimal_arc_distance,
-    solve_boundary_case,
-    solve_interior,
-)
+from .arc_solver import ArcProblem, KktCandidate, KktSolution, optimal_arc_distance
 from .batch_engine import (
     LabeledBatch,
     OptimalDistanceTable,
@@ -35,7 +27,6 @@ from .errors import (
     InsufficientSamples,
     InvalidBatchShape,
     NearZeroVector,
-    NondifferentiablePoint,
     NoNegatives,
     NonFiniteInput,
     OddClassCount,
@@ -44,18 +35,12 @@ from .errors import (
 from .geometry import (
     ObjectiveCoeffs,
     OrthoBasis,
-    chord_distance,
-    evaluate_objective,
     gram_schmidt_basis,
     normalize,
     objective_coeffs,
     point_on_arc,
 )
-from .gradients import (
-    analytic_loop_triplet_grad,
-    finite_diff_grad,
-    loss_and_grad,
-)
+from .gradients import finite_diff_grad, loss_and_grad
 from .losses import (
     LossConfig,
     LossValue,

@@ -3,11 +3,10 @@
 The objective f(alpha, beta) = -p1.p2 is minimized over the box
 [0, alpha0] x [0, beta0] by enumerating the nine ways the box constraints
 can be active: the unconstrained stationary points (case 0), one angle
-pinned at a bound (cases 1-4), and both pinned (corner cases 5-8). Each
-case has a closed form for the free angle and the multipliers of the
-active constraints; candidates violating multiplier sign or box
-feasibility are discarded, the four corners always compete, and the
-surviving candidate with the smallest objective wins.
+pinned at a bound (cases 1-4), and both pinned (corner cases 5-8). The case
+analysis is `vectorized.solve_arc_stack`; this module solves one problem as
+a stack of one row and keeps the problem's own basis, which the grid oracle
+reads, built here with `geometry` and independent of the case analysis.
 
 Sign convention: the Lagrangian is f - sum(lambda_i g_i) with g_i <= 0 and
 lambda_i <= 0 at a feasible minimum. Stationarity reads
@@ -21,36 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArc
+from .errors import DegenerateArc, DimensionMismatch
 from .geometry import (
     DEGENERACY_EPS,
     ObjectiveCoeffs,
     OrthoBasis,
     clamp_unit,
-    evaluate_objective,
     fallback_orthonormal,
     gram_schmidt_basis,
     normalize,
     objective_coeffs,
-    objective_grad_alpha,
-    objective_grad_beta,
-    point_on_arc,
 )
-
-# Multiplier sign slack and box feasibility slack. Exact-arithmetic KKT
-# conditions need a numeric cushion.
-EPS_LAMBDA = 1e-9
-EPS_BOX = 1e-9
-
-# Below this magnitude the linear coefficient of the interior tan quadratic
-# is treated as zero and the degenerate closed forms apply.
-EPS_QUAD = 1e-12
-
-# Corner cases always compete regardless of multiplier signs, so a feasible
-# pool is never empty.
-CORNER_CASES = (5, 6, 7, 8)
-
-ZERO_MULTIPLIERS = (0.0, 0.0, 0.0, 0.0)
+from .vectorized import CASE_BOUNDS, objective_partials, solve_arc_stack
 
 
 @dataclass(frozen=True)
@@ -79,10 +60,17 @@ class ArcProblem:
     def from_endpoints(cls, x1, x2, y1, y2) -> "ArcProblem":
         """Build a problem from four points, renormalizing onto the sphere.
 
-        Raises DegenerateArc for antiparallel endpoint pairs (the rotation
-        plane is ambiguous). Parallel pairs collapse to a point.
+        Raises DimensionMismatch unless the points are vectors of one common
+        dimension of at least 2, and DegenerateArc for antiparallel endpoint
+        pairs (the rotation plane is ambiguous). Parallel pairs collapse to
+        a point.
         """
         x1, x2, y1, y2 = (normalize(v) for v in (x1, x2, y1, y2))
+        if x1.ndim != 1 or len(x1) < 2 or any(p.shape != x1.shape for p in (x2, y1, y2)):
+            raise DimensionMismatch(
+                f"arc endpoints must be vectors of one dimension >= 2, got shapes "
+                f"{[p.shape for p in (x1, x2, y1, y2)]}"
+            )
         basis_x, alpha0, x_collapsed = _pair_basis(x1, x2)
         basis_y, beta0, y_collapsed = _pair_basis(y1, y2)
         coeffs = objective_coeffs(basis_x, basis_y)
@@ -129,127 +117,25 @@ def _pair_basis(u, v):
     return gram_schmidt_basis(u, v), math.acos(dot), False
 
 
-def _principal_angle(num: float, den: float) -> float:
-    """Solution of tan(t) = num/den mapped into [0, pi).
+def optimal_arc_distance(problem: ArcProblem) -> KktSolution:
+    """Globally minimal chord distance between the two arcs.
 
-    atan2 absorbs zero denominators (t -> pi/2); the stationarity equations
-    are invariant under t -> t + pi, so the [0, pi) representative is the
-    only one that can be feasible.
+    All cases are evaluated; KKT-infeasible candidates are discarded except
+    corners, which always compete as a robustness floor. The feasible
+    candidate with minimal objective wins, ties broken by candidate order
+    (lowest case id, then lowest alpha, then lowest beta). The result is
+    bit for bit the row `solve_arc_stack` gives these endpoints in any stack.
     """
-    return math.atan2(num, den) % math.pi
-
-
-def _stationary_beta(coeffs: ObjectiveCoeffs, alpha: float) -> float:
-    """The beta in [0, pi) with df/dbeta = 0 at this alpha."""
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    return _principal_angle(coeffs.a * sa + coeffs.b * ca, coeffs.c * sa + coeffs.d * ca)
-
-
-def _interior_candidate(coeffs: ObjectiveCoeffs, alpha: float) -> KktCandidate:
-    beta = _stationary_beta(coeffs, alpha)
-    return KktCandidate(
-        case_id=0, alpha=alpha, beta=beta,
-        multipliers=ZERO_MULTIPLIERS,
-        f_value=evaluate_objective(coeffs, alpha, beta),
+    sol = solve_arc_stack(*(p[None] for p in (problem.x1, problem.x2, problem.y1, problem.y2)))
+    candidate = KktCandidate(
+        case_id=int(sol.case_id[0]),
+        alpha=float(sol.alpha[0]),
+        beta=float(sol.beta[0]),
+        multipliers=tuple(sol.multipliers[0].tolist()),
+        f_value=float(sol.f_value[0]),
     )
-
-
-def solve_interior(coeffs: ObjectiveCoeffs, alpha0: float, beta0: float) -> list:
-    """Case 0: stationary points of f with all multipliers zero.
-
-    Eliminating beta turns stationarity into a quadratic in tan(alpha),
-      (ab + cd) t^2 - (a^2 - b^2 + c^2 - d^2) t - (ab + cd) = 0,
-    whose roots multiply to -1; the larger root is computed stably and the
-    other recovered as its negative reciprocal. Each alpha root is mapped
-    into [0, pi) (the +pi branch replaces a negative arctan value) and the
-    matching beta comes from the beta-stationarity equation, so df/dbeta
-    vanishes identically at every emitted candidate.
-
-    Degenerate quadratics: with ab + cd ~ 0 the finite root is t = 0 and a
-    root escapes to infinity (alpha = pi/2); with the linear coefficient
-    also ~ 0 the alpha-stationarity condition degenerates and candidates are
-    emitted at both alpha interval endpoints instead.
-    """
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    lead = a * b + c * d
-    big_a = a * a - b * b + c * c - d * d
-    if abs(lead) >= EPS_QUAD:
-        disc = math.hypot(big_a, 2.0 * lead)
-        num = big_a + math.copysign(disc, big_a) if big_a != 0.0 else disc
-        t_big = num / (2.0 * lead)
-        alphas = [math.atan(t_big) % math.pi, math.atan(-1.0 / t_big) % math.pi]
-    elif abs(big_a) >= EPS_QUAD:
-        alphas = [0.0, math.pi / 2.0]
-    else:
-        alphas = [0.0, alpha0]
-    cands = [_interior_candidate(coeffs, al) for al in alphas]
-    cands.sort(key=lambda cand: (cand.alpha, cand.beta))
-    return cands
-
-
-def solve_boundary_case(
-    case_id: int, coeffs: ObjectiveCoeffs, alpha0: float, beta0: float
-) -> KktCandidate:
-    """Closed form for one of the eight boundary cases.
-
-    Cases 1-4 pin one angle and choose the other to make its own partial
-    derivative vanish; the pinned angle's multiplier absorbs the remaining
-    partial. Cases 5-8 pin both angles at a corner.
-    """
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    sa0, ca0 = math.sin(alpha0), math.cos(alpha0)
-    sb0, cb0 = math.sin(beta0), math.cos(beta0)
-    if case_id == 1:
-        alpha, beta = 0.0, _principal_angle(b, d)
-        lams = (-objective_grad_alpha(coeffs, alpha, beta), 0.0, 0.0, 0.0)
-    elif case_id == 2:
-        alpha = alpha0
-        beta = _principal_angle(a * sa0 + b * ca0, c * sa0 + d * ca0)
-        lams = (0.0, objective_grad_alpha(coeffs, alpha, beta), 0.0, 0.0)
-    elif case_id == 3:
-        alpha, beta = _principal_angle(c, d), 0.0
-        lams = (0.0, 0.0, -objective_grad_beta(coeffs, alpha, beta), 0.0)
-    elif case_id == 4:
-        alpha = _principal_angle(a * sb0 + c * cb0, b * sb0 + d * cb0)
-        beta = beta0
-        lams = (0.0, 0.0, 0.0, objective_grad_beta(coeffs, alpha, beta))
-    elif case_id == 5:
-        alpha, beta = 0.0, 0.0
-        lams = (-objective_grad_alpha(coeffs, 0.0, 0.0), 0.0,
-                -objective_grad_beta(coeffs, 0.0, 0.0), 0.0)
-    elif case_id == 6:
-        alpha, beta = 0.0, beta0
-        lams = (-objective_grad_alpha(coeffs, alpha, beta), 0.0, 0.0,
-                objective_grad_beta(coeffs, alpha, beta))
-    elif case_id == 7:
-        alpha, beta = alpha0, 0.0
-        lams = (0.0, objective_grad_alpha(coeffs, alpha, beta),
-                -objective_grad_beta(coeffs, alpha, beta), 0.0)
-    elif case_id == 8:
-        alpha, beta = alpha0, beta0
-        lams = (0.0, objective_grad_alpha(coeffs, alpha, beta), 0.0,
-                objective_grad_beta(coeffs, alpha, beta))
-    else:
-        raise ValueError(f"case_id must be 1..8, got {case_id}")
-    return KktCandidate(
-        case_id=case_id, alpha=alpha, beta=beta, multipliers=lams,
-        f_value=evaluate_objective(coeffs, alpha, beta),
-    )
-
-
-def check_kkt(
-    candidate: KktCandidate,
-    alpha0: float,
-    beta0: float,
-    eps_lambda: float = EPS_LAMBDA,
-    eps_box: float = EPS_BOX,
-) -> bool:
-    """Multiplier signs (lambda_i <= 0) and box feasibility, with slack."""
-    if any(lam > eps_lambda for lam in candidate.multipliers):
-        return False
-    if not (-eps_box <= candidate.alpha <= alpha0 + eps_box):
-        return False
-    return -eps_box <= candidate.beta <= beta0 + eps_box
+    return KktSolution(candidate=candidate, p1=sol.p1[0], p2=sol.p2[0],
+                       distance=float(sol.distance[0]))
 
 
 def kkt_residuals(candidate: KktCandidate, coeffs: ObjectiveCoeffs,
@@ -257,9 +143,10 @@ def kkt_residuals(candidate: KktCandidate, coeffs: ObjectiveCoeffs,
     """Stationarity and complementary-slackness residuals of a candidate."""
     l1, l2, l3, l4 = candidate.multipliers
     al, be = candidate.alpha, candidate.beta
+    ga, gb = objective_partials(coeffs.a, coeffs.b, coeffs.c, coeffs.d, np.array([al, be]))
     return {
-        "stationarity_alpha": objective_grad_alpha(coeffs, al, be) + l1 - l2,
-        "stationarity_beta": objective_grad_beta(coeffs, al, be) + l3 - l4,
+        "stationarity_alpha": float(ga + l1 - l2),
+        "stationarity_beta": float(gb + l3 - l4),
         "slackness": max(
             abs(l1 * (-al)),
             abs(l2 * (al - alpha0)),
@@ -267,66 +154,6 @@ def kkt_residuals(candidate: KktCandidate, coeffs: ObjectiveCoeffs,
             abs(l4 * (be - beta0)),
         ),
     }
-
-
-def _zero_alpha_multipliers(cand: KktCandidate) -> KktCandidate:
-    lams = (0.0, 0.0, cand.multipliers[2], cand.multipliers[3])
-    return KktCandidate(cand.case_id, cand.alpha, cand.beta, lams, cand.f_value)
-
-
-def _zero_beta_multipliers(cand: KktCandidate) -> KktCandidate:
-    lams = (cand.multipliers[0], cand.multipliers[1], 0.0, 0.0)
-    return KktCandidate(cand.case_id, cand.alpha, cand.beta, lams, cand.f_value)
-
-
-def enumerate_candidates(problem: ArcProblem) -> list:
-    """All KKT candidates for the problem, in deterministic tie-break order.
-
-    A collapsed arc pins its angle at 0 and reduces to the three cases of
-    the remaining one-dimensional subproblem; the pinned side's multipliers
-    are structurally meaningless there and are zeroed.
-    """
-    coeffs, a0, b0 = problem.coeffs, problem.alpha0, problem.beta0
-    if problem.x_collapsed and problem.y_collapsed:
-        corner = solve_boundary_case(5, coeffs, a0, b0)
-        return [KktCandidate(5, 0.0, 0.0, ZERO_MULTIPLIERS, corner.f_value)]
-    if problem.x_collapsed:
-        return [
-            _zero_alpha_multipliers(solve_boundary_case(cid, coeffs, a0, b0))
-            for cid in (1, 5, 6)
-        ]
-    if problem.y_collapsed:
-        return [
-            _zero_beta_multipliers(solve_boundary_case(cid, coeffs, a0, b0))
-            for cid in (3, 5, 7)
-        ]
-    cands = solve_interior(coeffs, a0, b0)
-    cands.extend(solve_boundary_case(cid, coeffs, a0, b0) for cid in range(1, 9))
-    return cands
-
-
-def optimal_arc_distance(problem: ArcProblem) -> KktSolution:
-    """Globally minimal chord distance between the two arcs.
-
-    All cases are evaluated; KKT-infeasible candidates are discarded except
-    corners, which always compete as a robustness floor. The feasible
-    candidate with minimal objective wins, ties broken by candidate order
-    (lowest case id, then lowest alpha, then lowest beta).
-    """
-    best = None
-    for cand in enumerate_candidates(problem):
-        if cand.case_id not in CORNER_CASES and not check_kkt(
-            cand, problem.alpha0, problem.beta0
-        ):
-            continue
-        if best is None or cand.f_value < best.f_value:
-            best = cand
-    p1 = point_on_arc(problem.basis_x, best.alpha)
-    p2 = point_on_arc(problem.basis_y, best.beta)
-    # The explicit norm stays fully accurate near touching arcs, where the
-    # dot-product chord form loses half the significant digits.
-    distance = float(np.linalg.norm(p1 - p2))
-    return KktSolution(candidate=best, p1=p1, p2=p2, distance=distance)
 
 
 def active_set_margin(problem: ArcProblem, solution: KktSolution) -> float:
@@ -337,15 +164,14 @@ def active_set_margin(problem: ArcProblem, solution: KktSolution) -> float:
     winning case is about to switch and envelope gradients are unreliable.
     """
     cand = solution.candidate
+    pinned = CASE_BOUNDS[cand.case_id]
     margins = []
-    alpha_pinned = cand.case_id in (1, 2, 5, 6, 7, 8) or problem.x_collapsed
-    beta_pinned = cand.case_id in (3, 4, 5, 6, 7, 8) or problem.y_collapsed
     l1, l2, l3, l4 = cand.multipliers
-    if alpha_pinned:
+    if pinned[0] or pinned[1] or problem.x_collapsed:
         margins.append(max(abs(l1), abs(l2)))
     else:
         margins.append(min(cand.alpha, problem.alpha0 - cand.alpha))
-    if beta_pinned:
+    if pinned[2] or pinned[3] or problem.y_collapsed:
         margins.append(max(abs(l3), abs(l4)))
     else:
         margins.append(min(cand.beta, problem.beta0 - cand.beta))

@@ -9,14 +9,12 @@ the number of combinations is B (B - N) / 8.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidBatchShape, NoNegatives, OddClassCount, ParseError
+from .errors import InvalidBatchShape, NoNegatives, OddClassCount
 # solve_arc_stack is re-exported: callers reach the row solver through this module.
 from .vectorized import solve_arc_gram, solve_arc_stack, solve_segment_stack  # noqa: F401
 
@@ -202,42 +200,3 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
         pair_distances=pair_distances,
         nearest=nearest,
     )
-
-
-def load_batch_csv(path) -> LabeledBatch:
-    """Batch from CSV rows of: label, coordinate, coordinate, ..."""
-    labels, rows = [], []
-    try:
-        with open(path, newline="") as fh:
-            for record in csv.reader(fh):
-                if not record:
-                    continue
-                labels.append(record[0])
-                rows.append([float(v) for v in record[1:]])
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read batch CSV {path}: {exc}") from exc
-    if not rows:
-        raise ParseError(f"batch CSV {path} is empty")
-    return LabeledBatch.from_arrays(np.asarray(rows), np.asarray(labels))
-
-
-def load_batch_json(path) -> LabeledBatch:
-    """Batch from JSON {"labels": [...], "embeddings": [[...], ...]}."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        return LabeledBatch.from_arrays(
-            np.asarray(payload["embeddings"], dtype=float),
-            np.asarray(payload["labels"]),
-        )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"cannot read batch JSON {path}: {exc}") from exc
-
-
-def export_table_csv(table: OptimalDistanceTable, path) -> None:
-    """Write rows (i, j, k, l, distance) in combination order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "k", "l", "distance"])
-        for row, dist in zip(table.combos, table.distances):
-            writer.writerow([*(int(v) for v in row), repr(float(dist))])

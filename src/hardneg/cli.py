@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .arc_solver import ArcProblem, check_kkt, enumerate_candidates, optimal_arc_distance
+from .arc_solver import ArcProblem, optimal_arc_distance
 from .errors import (
     ConfigError,
     DegenerateArc,
@@ -36,12 +36,12 @@ from .errors import (
     OddClassCount,
     ParseError,
 )
-from .geometry import evaluate_objective
 from .losses import LossConfig
 from .gradients import LOSS_REGISTRY
 from .oracle import grid_min_arc, grid_min_segment
 from .segment_solver import SegmentProblem, optimal_segment_distance
 from .trainer import SyntheticSpec, evaluate, train
+from .vectorized import arc_candidate_table, objective
 
 INPUT_ERRORS = (
     ParseError,
@@ -333,22 +333,23 @@ def _svg_color(value: float) -> str:
 def render_cases_svg(problem: ArcProblem, grid: int = 80) -> str:
     """SVG of the objective over the feasible box with all case candidates.
 
-    Feasible candidates are filled, infeasible outlined, the winner ringed.
-    Degenerate boxes (collapsed arcs) get a hairline extent so the figure
-    stays well formed.
+    Feasible candidates are filled, infeasible outlined, the winner ringed;
+    candidates a collapsed arc rules out are not drawn. Degenerate boxes
+    (collapsed arcs) get a hairline extent so the figure stays well formed.
     """
     winner = optimal_arc_distance(problem)
-    cands = enumerate_candidates(problem)
+    cases, alphas, betas, f_values, ok, allowed = arc_candidate_table(
+        *(p[None] for p in (problem.x1, problem.x2, problem.y1, problem.y2))
+    )
     a0 = max(problem.alpha0, 1e-6)
     b0 = max(problem.beta0, 1e-6)
     size, margin = 420, 45
     cell = size / grid
-    values = np.empty((grid, grid))
-    for i in range(grid):
-        for j in range(grid):
-            values[i, j] = evaluate_objective(
-                problem.coeffs, (i + 0.5) * a0 / grid, (j + 0.5) * b0 / grid
-            )
+    al = (np.arange(grid) + 0.5) * a0 / grid
+    be = (np.arange(grid) + 0.5) * b0 / grid
+    co = problem.coeffs
+    values = objective(co.a, co.b, co.c, co.d, np.sin(al)[:, None], np.cos(al)[:, None],
+                       np.sin(be), np.cos(be))
     lo, hi = float(values.min()), float(values.max())
     span = hi - lo if hi > lo else 1.0
 
@@ -374,13 +375,12 @@ def render_cases_svg(problem: ArcProblem, grid: int = 80) -> str:
         f'<rect x="{margin}" y="{margin}" width="{size}" height="{size}" '
         'fill="none" stroke="black" stroke-width="1"/>'
     )
-    for cand in cands:
-        feasible = cand.case_id in (5, 6, 7, 8) or check_kkt(cand, problem.alpha0, problem.beta0)
-        fill = "#1a6e1a" if feasible else "none"
+    for slot in np.flatnonzero(allowed[:, 0]):
+        fill = "#1a6e1a" if ok[slot, 0] else "none"
         parts.append(
-            f'<circle cx="{sx(cand.alpha):.2f}" cy="{sy(cand.beta):.2f}" r="5" '
+            f'<circle cx="{sx(alphas[slot, 0]):.2f}" cy="{sy(betas[slot, 0]):.2f}" r="5" '
             f'fill="{fill}" stroke="#333333" stroke-width="1.5">'
-            f"<title>case {cand.case_id}: f={cand.f_value:.6f}</title></circle>"
+            f"<title>case {cases[slot]}: f={f_values[slot, 0]:.6f}</title></circle>"
         )
     best = winner.candidate
     parts.append(

@@ -37,10 +37,6 @@ class NoNegatives(HardNegError):
     """Batch contains a single class; no negative pairs exist."""
 
 
-class NondifferentiablePoint(HardNegError):
-    """Gradient requested at a hinge kink or an active-set boundary."""
-
-
 class InsufficientSamples(HardNegError):
     """Not enough samples per class for the requested statistic."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateArc, DimensionMismatch, NearZeroVector
+from .errors import DegenerateArc, DimensionMismatch, NearZeroVector, NonFiniteInput
 
 # Norm below which a vector cannot be normalized meaningfully.
 NORM_EPS = 1e-12
@@ -57,12 +57,16 @@ def clamp_unit(x: float) -> float:
 def normalize(v) -> np.ndarray:
     """Return v scaled to unit Euclidean norm.
 
-    Raises NearZeroVector when the norm is at or below NORM_EPS.
+    Raises NearZeroVector when the norm is at or below NORM_EPS, and
+    NonFiniteInput when it is not finite (a non-finite coordinate, or
+    squares past the float range).
     """
     v = np.asarray(v, dtype=float)
     n = float(np.linalg.norm(v))
     if n <= NORM_EPS:
         raise NearZeroVector(f"norm {n:.3e} too small to normalize")
+    if not np.isfinite(n):
+        raise NonFiniteInput(f"norm {n} of a vector is not finite")
     return v / n
 
 
@@ -89,11 +93,6 @@ def point_on_arc(basis: OrthoBasis, angle: float) -> np.ndarray:
     return basis.n1 * np.cos(angle) + basis.n2 * np.sin(angle)
 
 
-def chord_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Euclidean distance between unit vectors, sqrt(2 (1 - p.q)), in [0, 2]."""
-    return float(np.sqrt(2.0 * (1.0 - clamp_unit(float(np.dot(p, q))))))
-
-
 def objective_coeffs(basis_x: OrthoBasis, basis_y: OrthoBasis) -> ObjectiveCoeffs:
     """Coefficients of the angular objective between two arcs.
 
@@ -111,33 +110,6 @@ def objective_coeffs(basis_x: OrthoBasis, basis_y: OrthoBasis) -> ObjectiveCoeff
         b=-float(n1 @ n4),
         c=-float(n2 @ n3),
         d=-float(n1 @ n3),
-    )
-
-
-def evaluate_objective(coeffs: ObjectiveCoeffs, alpha: float, beta: float) -> float:
-    """f(alpha, beta) = -p1.p2 for the arc points at these angles."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    return float(
-        coeffs.a * sa * sb + coeffs.b * ca * sb + coeffs.c * sa * cb + coeffs.d * ca * cb
-    )
-
-
-def objective_grad_alpha(coeffs: ObjectiveCoeffs, alpha: float, beta: float) -> float:
-    """Partial derivative of the objective in the first angle."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    return float(
-        coeffs.a * ca * sb - coeffs.b * sa * sb + coeffs.c * ca * cb - coeffs.d * sa * cb
-    )
-
-
-def objective_grad_beta(coeffs: ObjectiveCoeffs, alpha: float, beta: float) -> float:
-    """Partial derivative of the objective in the second angle."""
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    sb, cb = np.sin(beta), np.cos(beta)
-    return float(
-        coeffs.a * sa * cb + coeffs.b * ca * cb - coeffs.c * sa * sb - coeffs.d * ca * sb
     )
 
 

@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arc_solver import ArcProblem, KktSolution, active_set_margin
 from .batch_engine import LabeledBatch, build_pairs, optimal_distance_table
-from .errors import NondifferentiablePoint
 from .losses import (  # noqa: F401  ms_mining and loop_ms_mining are re-exported
     LossConfig,
     hardest,
@@ -336,53 +334,3 @@ def finite_diff_grad(loss_fn, batch: LabeledBatch, index: int, h: float = 1e-5) 
             )
         grad[coord] = (values[0] - values[1]) / (2.0 * h)
     return grad
-
-
-def analytic_loop_triplet_grad(
-    problem: ArcProblem,
-    solution: KktSolution,
-    margin: float,
-    stability_margin: float = 1e-9,
-):
-    """Gradients of the squared-distance tuple loss with optimal negatives.
-
-    The tuple loss is [ |x1 - x2|^2 - |p1 - p2|^2 + margin ]_+ with (p1, p2)
-    the optimal pair. Returns a dict with keys x1, x2, y1, y2. Raises
-    NondifferentiablePoint at hinge kinks and at active-set boundaries
-    (where the winning case is about to change), detected within
-    stability_margin.
-    """
-    pos_sq = float(np.sum((problem.x1 - problem.x2) ** 2))
-    hinge_arg = pos_sq - solution.distance**2 + margin
-    if abs(hinge_arg) < stability_margin:
-        raise NondifferentiablePoint(f"hinge argument {hinge_arg:.3e} at the kink")
-    zeros = {name: np.zeros_like(problem.x1) for name in ("x1", "x2", "y1", "y2")}
-    if hinge_arg < 0.0:
-        return zeros
-    if active_set_margin(problem, solution) < stability_margin:
-        raise NondifferentiablePoint("winning case at an active-set boundary")
-    case = solution.candidate.case_id
-    delta = solution.p1 - solution.p2
-    pinned = CASE_BOUNDS[case]
-    a_low = bool(pinned[0]) or problem.x_collapsed
-    a_high = bool(pinned[1]) and not a_low
-    b_low = bool(pinned[2]) or problem.y_collapsed
-    b_high = bool(pinned[3]) and not b_low
-    res_x = float(np.sin(problem.alpha0))
-    res_y = float(np.sin(problem.beta0))
-    g_x1, g_x2 = arc_point_adjoints(
-        problem.x1, problem.x2, problem.basis_x.n2, float(problem.x1 @ problem.x2),
-        res_x, solution.candidate.alpha, delta, a_low, a_high,
-    )
-    # (dp2/dy)^T delta; it enters the loss with a plus sign.
-    g_y1, g_y2 = arc_point_adjoints(
-        problem.y1, problem.y2, problem.basis_y.n2, float(problem.y1 @ problem.y2),
-        res_y, solution.candidate.beta, delta, b_low, b_high,
-    )
-    diff = problem.x1 - problem.x2
-    return {
-        "x1": 2.0 * (diff - g_x1),
-        "x2": 2.0 * (-diff - g_x2),
-        "y1": 2.0 * g_y1,
-        "y2": 2.0 * g_y2,
-    }

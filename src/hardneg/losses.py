@@ -13,7 +13,6 @@ are supported).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -64,15 +63,6 @@ class LossValue:
     @cached_property
     def per_term(self) -> tuple:
         return tuple(zip(self.keys(), self.terms.tolist()))
-
-
-def export_loss_csv(value: LossValue, path) -> None:
-    """Write the per-term diagnostics as rows (term, contribution)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["term", "contribution"])
-        for term, contribution in value.per_term:
-            writer.writerow([repr(term), repr(float(contribution))])
 
 
 def pairwise(batch: LabeledBatch):

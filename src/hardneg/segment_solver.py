@@ -8,7 +8,9 @@ the (halved) squared-distance stationarity conditions are linear:
     u.u k1 - u.v k2 - u.w + lambda_1 - lambda_2 = 0
     -v.u k1 + v.v k2 + v.w + lambda_3 - lambda_4 = 0
 
-and the nine active-set cases mirror the arc solver's.
+and the nine active-set cases mirror the arc solver's. The case analysis
+is `vectorized.solve_segment_stack`; this module solves one problem as a
+stack of one row.
 """
 
 from __future__ import annotations
@@ -17,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment
-
-EPS_LAMBDA = 1e-9
-EPS_BOX = 1e-9
-
-# A segment with endpoint gap at or below this collapses to a point.
-EPS_SEGMENT = 1e-12
-
-CORNER_CASES = (5, 6, 7, 8)
+from .errors import DimensionMismatch, NonFiniteInput
+from .vectorized import solve_segment_stack
 
 
 @dataclass(frozen=True)
@@ -42,8 +37,23 @@ class SegmentProblem:
 
     @classmethod
     def from_endpoints(cls, x1, x2, y1, y2) -> "SegmentProblem":
+        """Build a problem from four points.
+
+        Raises DimensionMismatch unless the points are non-empty vectors of
+        one common dimension, and NonFiniteInput when a squared difference
+        u.u, v.v or w.w is not finite (a non-finite coordinate, or squares
+        past the float range).
+        """
         x1, x2, y1, y2 = (np.asarray(p, dtype=float) for p in (x1, x2, y1, y2))
-        return cls(x1=x1, x2=x2, y1=y1, y2=y2, u=x1 - x2, v=y1 - y2, w=x1 - y1)
+        if x1.ndim != 1 or len(x1) < 1 or any(p.shape != x1.shape for p in (x2, y1, y2)):
+            raise DimensionMismatch(
+                f"segment endpoints must be vectors of one dimension, got shapes "
+                f"{[p.shape for p in (x1, x2, y1, y2)]}"
+            )
+        u, v, w = x1 - x2, y1 - y2, x1 - y1
+        if not all(np.isfinite(m @ m) for m in (u, v, w)):
+            raise NonFiniteInput("segment differences are non-finite or overflow when squared")
+        return cls(x1=x1, x2=x2, y1=y1, y2=y2, u=u, v=v, w=w)
 
 
 @dataclass(frozen=True)
@@ -56,102 +66,6 @@ class SegmentSolution:
     p1: np.ndarray
     p2: np.ndarray
     distance: float
-    multipliers: tuple = (0.0, 0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class _Coeffs:
-    """Linear-system coefficients: rows (a, b, c) and (a2, b2, c2)."""
-
-    a: float
-    b: float
-    c: float
-    a2: float
-    b2: float
-    c2: float
-
-    def grad_k1(self, k1, k2):
-        return self.a * k1 + self.b * k2 + self.c
-
-    def grad_k2(self, k1, k2):
-        return self.a2 * k1 + self.b2 * k2 + self.c2
-
-
-def _segment_coeffs(problem: SegmentProblem) -> _Coeffs:
-    u, v, w = problem.u, problem.v, problem.w
-    uv = float(u @ v)
-    return _Coeffs(
-        a=float(u @ u), b=-uv, c=-float(u @ w),
-        a2=-uv, b2=float(v @ v), c2=float(v @ w),
-    )
-
-
-def _point_pair(problem, k1, k2):
-    p1 = (1.0 - k1) * problem.x1 + k1 * problem.x2
-    p2 = (1.0 - k2) * problem.y1 + k2 * problem.y2
-    return p1, p2
-
-
-def _candidates(co: _Coeffs, x_collapsed: bool, y_collapsed: bool) -> list:
-    """(case_id, k1, k2, multipliers) for every applicable case.
-
-    Case 0 is skipped when the system determinant (u.v)^2 - |u|^2 |v|^2
-    nearly vanishes (parallel segments); the boundary cases cover parallel
-    geometry exactly. Collapsed segments pin their parameter at 0 and drop
-    to the three cases of the other parameter, with the pinned side's
-    multipliers zeroed.
-    """
-    g1, g2 = co.grad_k1, co.grad_k2
-    if x_collapsed and y_collapsed:
-        raise DegenerateSegment("both segments collapse to points")
-    if x_collapsed:
-        return [
-            (1, 0.0, -co.c2 / co.b2, (0.0, 0.0, 0.0, 0.0)),
-            (5, 0.0, 0.0, (0.0, 0.0, -g2(0.0, 0.0), 0.0)),
-            (6, 0.0, 1.0, (0.0, 0.0, 0.0, g2(0.0, 1.0))),
-        ]
-    if y_collapsed:
-        return [
-            (3, -co.c / co.a, 0.0, (0.0, 0.0, 0.0, 0.0)),
-            (5, 0.0, 0.0, (-g1(0.0, 0.0), 0.0, 0.0, 0.0)),
-            (7, 1.0, 0.0, (g1(1.0, 0.0), 0.0, 0.0, 0.0)),
-        ]
-
-    cands = []
-    det = co.a2 * co.b - co.a * co.b2  # (u.v)^2 - |u|^2 |v|^2
-    if abs(det) >= EPS_SEGMENT * co.a * co.b2:
-        k1 = (co.b2 * co.c - co.b * co.c2) / det
-        k2 = (co.a * co.c2 - co.a2 * co.c) / det
-        cands.append((0, k1, k2, (0.0, 0.0, 0.0, 0.0)))
-    for case_id, k1, k2 in (
-        (1, 0.0, -co.c2 / co.b2),
-        (2, 1.0, -(co.a2 + co.c2) / co.b2),
-        (3, -co.c / co.a, 0.0),
-        (4, -(co.b + co.c) / co.a, 1.0),
-        (5, 0.0, 0.0),
-        (6, 0.0, 1.0),
-        (7, 1.0, 0.0),
-        (8, 1.0, 1.0),
-    ):
-        lams = [0.0, 0.0, 0.0, 0.0]
-        if case_id in (1, 5, 6):
-            lams[0] = -g1(k1, k2)
-        if case_id in (2, 7, 8):
-            lams[1] = g1(k1, k2)
-        if case_id in (3, 5, 7):
-            lams[2] = -g2(k1, k2)
-        if case_id in (4, 6, 8):
-            lams[3] = g2(k1, k2)
-        cands.append((case_id, k1, k2, tuple(lams)))
-    return cands
-
-
-def _feasible(k1, k2, multipliers) -> bool:
-    if any(lam > EPS_LAMBDA for lam in multipliers):
-        return False
-    return (
-        -EPS_BOX <= k1 <= 1.0 + EPS_BOX and -EPS_BOX <= k2 <= 1.0 + EPS_BOX
-    )
 
 
 def optimal_segment_distance(problem: SegmentProblem) -> SegmentSolution:
@@ -159,33 +73,12 @@ def optimal_segment_distance(problem: SegmentProblem) -> SegmentSolution:
 
     Same selection policy as the arc solver: all cases compete, infeasible
     non-corner candidates are discarded, corners are a robustness floor,
-    ties break toward lower case id then lower parameters.
+    ties break toward lower case id then lower parameters. The result is
+    bit for bit the row `solve_segment_stack` gives these endpoints in any
+    stack.
     """
-    x_collapsed = float(np.linalg.norm(problem.u)) <= EPS_SEGMENT
-    y_collapsed = float(np.linalg.norm(problem.v)) <= EPS_SEGMENT
-    co = _segment_coeffs(problem)
-    best = None
-    best_d2 = np.inf
-    for case_id, k1, k2, lams in _candidates(co, x_collapsed, y_collapsed):
-        if case_id not in CORNER_CASES and not _feasible(k1, k2, lams):
-            continue
-        p1, p2 = _point_pair(problem, k1, k2)
-        d2 = float(np.sum((p1 - p2) ** 2))
-        if best is None or d2 < best_d2:
-            best = (case_id, k1, k2, lams, p1, p2)
-            best_d2 = d2
-    case_id, k1, k2, lams, p1, p2 = best
+    sol = solve_segment_stack(*(p[None] for p in (problem.x1, problem.x2, problem.y1, problem.y2)))
     return SegmentSolution(
-        case_id=case_id, k1=k1, k2=k2, p1=p1, p2=p2,
-        distance=float(np.sqrt(best_d2)), multipliers=lams,
+        case_id=int(sol.case_id[0]), k1=float(sol.k1[0]), k2=float(sol.k2[0]),
+        p1=sol.p1[0], p2=sol.p2[0], distance=float(sol.distance[0]),
     )
-
-
-def segment_residuals(problem: SegmentProblem, sol: SegmentSolution) -> dict:
-    """Stationarity residuals of a solution under its multipliers."""
-    co = _segment_coeffs(problem)
-    l1, l2, l3, l4 = sol.multipliers
-    return {
-        "stationarity_k1": co.grad_k1(sol.k1, sol.k2) + l1 - l2,
-        "stationarity_k2": co.grad_k2(sol.k1, sol.k2) + l3 - l4,
-    }

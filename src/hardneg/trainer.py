@@ -176,6 +176,9 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
                            max_iter: int = 100) -> np.ndarray:
     """Deterministic Lloyd k-means with farthest-point initialization.
 
+    k is capped at the number of distinct rows: seeding stops once every
+    row repeats a seed.
+
     Distances are compared in Gram form: one (n, D) x (D, n) product for
     the seeding and one (n, D) x (D, k) product per iteration. Near ties
     fall back to explicit norms, so every argmin and argmax is the one
@@ -195,9 +198,14 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
     for _ in range(1, k):
         nxt = _farthest(d_min, tol, lambda rows: np.min(
             _explicit_distances(points[rows], points[chosen]), axis=1))
+        if d_min[nxt] <= tol and np.any(np.all(points[chosen] == points[nxt], axis=1)):
+            # Every row repeats a seed. Past the distinct rows, clusters
+            # would stay empty and reseeding them would cycle until max_iter.
+            break
         chosen.append(nxt)
         d_min = np.minimum(d_min, pairwise[nxt])
     centers = points[chosen]
+    k = len(centers)
     assign = np.zeros(n, dtype=int)
     columns = np.arange(dim)
     for _ in range(max_iter):

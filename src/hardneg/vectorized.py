@@ -1,10 +1,9 @@
-"""Array-parallel arc and segment solvers.
+"""Array-parallel arc and segment solvers: the one implementation of the nine-case analysis.
 
-Solves a stack of independent minimum-distance instances in one pass, with
-the scalar solvers' case order, feasibility masks and tie-breaks, so batch
-construction can solve every pair-of-pairs combination at once. The test
-suite pins scalar and stacked results against each other on random and
-degenerate inputs.
+Solves a stack of independent minimum-distance instances in one pass, so
+batch construction can solve every pair-of-pairs combination at once; the
+single-instance solvers in `arc_solver` and `segment_solver` call these on
+a stack of one row.
 
 Every arc quantity is a function of the six endpoint dots of a row, so one
 core (`_solve_arc_core`) solves from dots alone: `solve_arc_stack` feeds it
@@ -19,6 +18,11 @@ alpha free) and four corners (cases 5..8, both angles pinned). It takes
 sines and cosines only of free angles and of the two extents, forms a
 partial only where its angle carries a multiplier, and builds the winner's
 multipliers after the selection, which reads constant per-case tables.
+Ties go to the lowest slot: lowest case id, then lowest (alpha, beta).
+
+Sign convention: the Lagrangian is f - sum(lambda_i g_i) with g_i <= 0 and
+lambda_i <= 0 at a feasible minimum. Stationarity reads
+df/dalpha + lambda_1 - lambda_2 = 0 and df/dbeta + lambda_3 - lambda_4 = 0.
 """
 
 from __future__ import annotations
@@ -27,10 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arc_solver import EPS_BOX, EPS_LAMBDA, EPS_QUAD
 from .errors import DegenerateArc, DegenerateSegment, NonFiniteInput
 from .geometry import DEGENERACY_EPS
-from .segment_solver import EPS_SEGMENT
+
+# Multiplier sign slack and box feasibility slack: exact-arithmetic KKT
+# conditions need a numeric cushion.
+EPS_LAMBDA = 1e-9
+EPS_BOX = 1e-9
+# Below this magnitude the linear coefficient of the interior tan quadratic
+# is treated as zero and the degenerate closed forms apply.
+EPS_QUAD = 1e-12
+# A segment with endpoint gap at or below this collapses to a point.
+EPS_SEGMENT = 1e-12
 
 # Candidate slots: two interior candidates (case 0), then cases 1..8. Alpha
 # is free in slots 0, 1, 4 and 5 (cases 0, 3, 4), beta in slots 0..3 (cases
@@ -67,7 +79,6 @@ class ArcSolution:
     Holds no (n, D) array: the optimal points are p1 = x1 cos(alpha) +
     n2x sin(alpha) with n2x = (x2 - dot_x x1) / res_x (and likewise p2),
     so the dots and residual norms suffice to form envelope gradients.
-    cross holds the rows (x1.y1, x1.y2, x2.y1, x2.y2).
     """
 
     case_id: np.ndarray
@@ -81,7 +92,6 @@ class ArcSolution:
     coeffs: np.ndarray  # (n, 4) rows (a, b, c, d)
     dot_x: np.ndarray
     dot_y: np.ndarray
-    cross: np.ndarray
     res_x: np.ndarray  # |x2 - (x1.x2) x1|, the Gram-Schmidt residual norm
     res_y: np.ndarray
     x_collapsed: np.ndarray
@@ -139,7 +149,7 @@ def _mod_pi(x):
     return x + np.where(x < 0.0, np.pi, np.where(x >= np.pi, -np.pi, 0.0))
 
 
-def _objective(a, b, c, d, sa, ca, sb, cb):
+def objective(a, b, c, d, sa, ca, sb, cb):
     """f(alpha, beta) = -p1.p2 from the sines and cosines of the two angles.
 
     Its partial in alpha is the same form with (sa, ca) -> (ca, -sa), and in
@@ -148,10 +158,10 @@ def _objective(a, b, c, d, sa, ca, sb, cb):
     return a * sa * sb + b * ca * sb + c * sa * cb + d * ca * cb
 
 
-def _partials(a, b, c, d, angles):
+def objective_partials(a, b, c, d, angles):
     """df/dalpha and df/dbeta at the rows (alpha, beta) of angles."""
     (sa, sb), (ca, cb) = np.sin(angles), np.cos(angles)
-    return _objective(a, b, c, d, ca, -sa, sb, cb), _objective(a, b, c, d, sa, ca, cb, -sb)
+    return objective(a, b, c, d, ca, -sa, sb, cb), objective(a, b, c, d, sa, ca, cb, -sb)
 
 
 def _select(values, ok, code, allowed):
@@ -206,15 +216,15 @@ def _arc_candidates(a, b, c, d, alpha0, beta0):
     sb, cb = np.sin(be[:4]), np.cos(be[:4])
 
     f = np.empty((n, _N_SLOTS)).T  # slot rows over row-major storage, for argmin
-    f[:2] = _objective(a, b, c, d, sa[:2], ca[:2], sb[:2], cb[:2])
+    f[:2] = objective(a, b, c, d, sa[:2], ca[:2], sb[:2], cb[:2])
     f[2] = b * sb[2] + d * cb[2]
-    f[3] = _objective(a, b, c, d, sa0, ca0, sb[3], cb[3])
+    f[3] = objective(a, b, c, d, sa0, ca0, sb[3], cb[3])
     f[4] = c * sa[2] + d * ca[2]
-    f[5] = _objective(a, b, c, d, sa[3], ca[3], sb0, cb0)
+    f[5] = objective(a, b, c, d, sa[3], ca[3], sb0, cb0)
     f[6] = d
     f[7] = b * sb0 + d * cb0
     f[8] = c * sa0 + d * ca0
-    f[9] = _objective(a, b, c, d, sa0, ca0, sb0, cb0)
+    f[9] = objective(a, b, c, d, sa0, ca0, sb0, cb0)
     # Order the two interior candidates by (alpha, beta) for tie-breaking.
     swap = (al[0] > al[1]) | ((al[0] == al[1]) & (be[0] > be[1]))
     for m in (al, be, f):
@@ -228,20 +238,18 @@ def _arc_candidates(a, b, c, d, alpha0, beta0):
     ok = np.ones((n, _N_SLOTS), dtype=bool).T
     ok[:2] = box_a[:2] & box_b[:2]
     ok[2] = box_b[2] & (a * sb[2] + c * cb[2] >= -EPS_LAMBDA)
-    ok[3] = box_b[3] & (_objective(a, b, c, d, ca0, -sa0, sb[3], cb[3]) <= EPS_LAMBDA)
+    ok[3] = box_b[3] & (objective(a, b, c, d, ca0, -sa0, sb[3], cb[3]) <= EPS_LAMBDA)
     ok[4] = box_a[2] & (a * sa[2] + b * ca[2] >= -EPS_LAMBDA)
-    ok[5] = box_a[3] & (_objective(a, b, c, d, sa[3], ca[3], cb0, -sb0) <= EPS_LAMBDA)
+    ok[5] = box_a[3] & (objective(a, b, c, d, sa[3], ca[3], cb0, -sb0) <= EPS_LAMBDA)
     return ang, f, ok
 
 
-def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
-    """Solve n arc problems of unit endpoints from their six endpoint dots.
-
-    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
-    replace it where it falls below EXPLICIT_NORM_BELOW.
-    """
-    dot_x, res_x, alpha0, x_col = _arc_side(dot_x)
-    dot_y, res_y, beta0, y_col = _arc_side(dot_y)
+def _arc_coeffs(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2):
+    """Both sides (see `_arc_side`) and the objective coefficients (a, b, c, d)."""
+    x_side = _arc_side(dot_x)
+    y_side = _arc_side(dot_y)
+    dot_x, res_x, _, x_col = x_side
+    dot_y, res_y, _, y_col = y_side
 
     # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
     # the terms divided by its residual only multiply the sine of its
@@ -253,7 +261,18 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     b = -(x1y2 - dot_y * x1y1) * inv_y
     c = -(x2y1 - dot_x * x1y1) * inv_x
     d = -x1y1
+    return x_side, y_side, (a, b, c, d)
 
+
+def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
+    """Solve n arc problems of unit endpoints from their six endpoint dots.
+
+    The distance is sqrt(2 + 2f) at the winner; callers holding the rows
+    replace it where it falls below EXPLICIT_NORM_BELOW.
+    """
+    x_side, y_side, (a, b, c, d) = _arc_coeffs(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2)
+    dot_x, res_x, alpha0, x_col = x_side
+    dot_y, res_y, beta0, y_col = y_side
     ang, f, ok = _arc_candidates(a, b, c, d, alpha0, beta0)
     winner = _select(f, ok, x_col + 2 * y_col, _ARC_ALLOWED)
     rows = np.arange(len(winner))
@@ -261,7 +280,7 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     angles = ang[_ANGLE_ROW[:, winner], rows]
     alpha, beta = angles
     f_w = f[winner, rows]
-    ga, gb = _partials(a, b, c, d, angles)
+    ga, gb = objective_partials(a, b, c, d, angles)
     return ArcSolution(
         case_id=case,
         alpha=alpha,
@@ -274,7 +293,6 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
         coeffs=np.stack([a, b, c, d], axis=1),
         dot_x=dot_x,
         dot_y=dot_y,
-        cross=np.stack([x1y1, x1y2, x2y1, x2y2], axis=1),
         res_x=res_x,
         res_y=res_y,
         x_collapsed=x_col,
@@ -292,12 +310,19 @@ def _arc_points(sol: ArcSolution, x1, x2, y1, y2, rows=slice(None)):
     return p1, p2, n2x, n2y
 
 
+def _row_dots(x1, x2, y1, y2):
+    """Four (n, D) float stacks, checked finite, and the six endpoint dots of each row."""
+    rows = tuple(np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
+    _require_finite(*rows)
+    x1, x2, y1, y2 = rows
+    ends = ((x1, x2), (y1, y2), (x1, y1), (x1, y2), (x2, y1), (x2, y2))
+    return rows, tuple(np.sum(u * v, axis=1) for u, v in ends)
+
+
 def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
     """Solve n arc problems given four (n, D) stacks of unit rows."""
-    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
-    _require_finite(x1, x2, y1, y2)
-    ends = ((x1, x2), (y1, y2), (x1, y1), (x1, y2), (x2, y1), (x2, y2))
-    core = _solve_arc_core(*(np.sum(u * v, axis=1) for u, v in ends))
+    (x1, x2, y1, y2), dots = _row_dots(x1, x2, y1, y2)
+    core = _solve_arc_core(*dots)
     p1, p2, n2x, n2y = _arc_points(core, x1, x2, y1, y2)
     core.distance = np.linalg.norm(p1 - p2, axis=1)
     return ArcStackSolution(**vars(core), p1=p1, p2=p2, n2x=n2x, n2y=n2y)
@@ -319,6 +344,21 @@ def solve_arc_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> Arc
     return sol
 
 
+def arc_candidate_table(x1, x2, y1, y2):
+    """Every candidate slot of n arc problems given four (n, D) stacks of unit rows.
+
+    Returns the case id of each slot, shape (slots,), and (slots, n) arrays
+    of the slot's alpha, beta and objective value, of ok (in the box with
+    multipliers of the feasible sign; corners always) and of allowed (the
+    slots a collapsed side leaves). The solve picks, per row, the first
+    smallest value among the slots both ok and allowed.
+    """
+    (_, _, alpha0, x_col), (_, _, beta0, y_col), coeffs = _arc_coeffs(*_row_dots(x1, x2, y1, y2)[1])
+    ang, f, ok = _arc_candidates(*coeffs, alpha0, beta0)
+    alpha, beta = ang[_ANGLE_ROW]
+    return _SLOT_CASE, alpha, beta, f, ok, _ARC_ALLOWED[x_col + 2 * y_col].T
+
+
 def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
     """Max stationarity residual per instance for the winning candidates.
 
@@ -326,7 +366,7 @@ def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
     stationarity condition, so its residual is excluded.
     """
     a, b, c, d = sol.coeffs.T
-    ga, gb = _partials(a, b, c, d, np.stack([sol.alpha, sol.beta]))
+    ga, gb = objective_partials(a, b, c, d, np.stack([sol.alpha, sol.beta]))
     r1 = ga + sol.multipliers[:, 0] - sol.multipliers[:, 1]
     r2 = gb + sol.multipliers[:, 2] - sol.multipliers[:, 3]
     r1 = np.where(sol.x_collapsed, 0.0, r1)
@@ -347,8 +387,8 @@ class SegmentStackSolution:
 def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
     """Solve n segment problems given four (n, D) endpoint stacks.
 
-    Rows where both segments collapse are rejected, matching the scalar
-    solver; rows with one collapsed segment fall back to point-vs-segment.
+    Rows where both segments collapse are rejected; rows with one collapsed
+    segment fall back to point-vs-segment.
     """
     x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
     _require_finite(x1, x2, y1, y2)

@@ -2,102 +2,184 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardneg import (
     ArcProblem,
     DegenerateArc,
     HardNegError,
-    check_kkt,
-    chord_distance,
     grid_min_arc,
     optimal_arc_distance,
-    solve_boundary_case,
-    solve_interior,
 )
-from hardneg.arc_solver import KktCandidate, kkt_residuals
-from hardneg.geometry import (
-    ObjectiveCoeffs,
-    objective_grad_alpha,
-    objective_grad_beta,
+from hardneg.arc_solver import kkt_residuals
+from hardneg.geometry import point_on_arc
+from hardneg.vectorized import (
+    CASE_BOUNDS,
+    EPS_BOX,
+    EPS_LAMBDA,
+    arc_candidate_table,
+    arc_stack_residuals,
+    solve_arc_stack,
 )
-from hardneg.vectorized import arc_stack_residuals, solve_arc_stack
 
 from conftest import random_arc_problem, unit_rows
 
 
-def random_coeffs(rng):
-    return ObjectiveCoeffs(*rng.uniform(-1, 1, size=4))
+def endpoints(problem):
+    return problem.x1, problem.x2, problem.y1, problem.y2
 
 
-def test_interior_identical_arc_limit():
-    # a = b = c = 0, d = -1: f = -cos(alpha) cos(beta), floor f = -1 at (0, 0)
-    cands = solve_interior(ObjectiveCoeffs(0.0, 0.0, 0.0, -1.0), 1.0, 1.0)
-    assert any(abs(c.f_value + 1.0) < 1e-12 for c in cands)
+def candidates(problem):
+    """One problem's candidate table: slot case ids, then alpha, beta, f, ok
+    and allowed per slot."""
+    case, *table = arc_candidate_table(*(p[None] for p in endpoints(problem)))
+    return (case, *(m[:, 0] for m in table))
 
 
-def test_interior_constant_objective():
-    cands = solve_interior(ObjectiveCoeffs(0.0, 0.0, 0.0, 0.0), 1.2, 0.7)
-    assert cands
-    for cand in cands:
-        assert abs(cand.f_value) < 1e-12  # distance sqrt(2) everywhere
+def partials(problem, alpha, beta):
+    """df/dalpha and df/dbeta of f = -p1.p2 from the problem's bases alone:
+    the derivative of a point on an arc is the point a quarter turn on."""
+    p1, p2 = point_on_arc(problem.basis_x, alpha), point_on_arc(problem.basis_y, beta)
+    t1 = point_on_arc(problem.basis_x, alpha + math.pi / 2)
+    t2 = point_on_arc(problem.basis_y, beta + math.pi / 2)
+    return -float(t1 @ p2), -float(p1 @ t2)
+
+
+def expected_multipliers(problem, sol):
+    """Minus the partial on each pinned lower bound, plus it on each upper one."""
+    ga, gb = partials(problem, sol.candidate.alpha, sol.candidate.beta)
+    pins = CASE_BOUNDS[sol.candidate.case_id]
+    return np.where(pins, [-ga, ga, -gb, gb], 0.0)
+
+
+def random_problems(rng, count, dims=(3, 4, 8)):
+    for _ in range(count):
+        yield random_arc_problem(rng, int(rng.choice(dims)))
+
+
+def winners(rng, cases, count):
+    """(problem, solution) pairs of random problems whose winner is in cases."""
+    found = []
+    for problem in random_problems(rng, 100_000):
+        sol = optimal_arc_distance(problem)
+        if sol.candidate.case_id in cases:
+            found.append((problem, sol))
+            if len(found) == count:
+                return found
+    raise AssertionError(f"no {count} winners of cases {cases}")
+
+
+def test_interior_identical_arc_limit(rng):
+    # Identical arcs: f = -cos(alpha - beta), floor f = -1 on the diagonal.
+    x1, x2 = unit_rows(rng, 2, 5)
+    problem = ArcProblem.from_endpoints(x1, x2, x1, x2)
+    case, _, _, f, _, _ = candidates(problem)
+    assert np.any(np.abs(f[case == 0] + 1.0) < 1e-12)
+    assert optimal_arc_distance(problem).distance < 1e-7
+
+
+def test_interior_constant_objective(rng):
+    # Orthogonal planes: every point of one arc is sqrt(2) from the other.
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    problem = ArcProblem.from_endpoints(q[0], q[0] + q[1], q[2], q[2] - q[3])
+    _, _, _, f, _, allowed = candidates(problem)
+    assert np.all(np.abs(f[allowed]) < 1e-12)
+    assert abs(optimal_arc_distance(problem).distance - math.sqrt(2)) < 1e-12
 
 
 def test_interior_candidates_are_stationary(rng):
-    for _ in range(300):
-        co = random_coeffs(rng)
-        for cand in solve_interior(co, math.pi / 2, math.pi / 2):
-            assert abs(objective_grad_alpha(co, cand.alpha, cand.beta)) < 1e-8
-            assert abs(objective_grad_beta(co, cand.alpha, cand.beta)) < 1e-8
-            assert cand.multipliers == (0.0, 0.0, 0.0, 0.0)
+    for problem in random_problems(rng, 300):
+        case, alpha, beta, _, _, _ = candidates(problem)
+        for al, be in zip(alpha[case == 0], beta[case == 0]):
+            ga, gb = partials(problem, al, be)
+            assert abs(ga) < 1e-8 and abs(gb) < 1e-8
 
 
 def test_case5_multipliers_are_minus_c_and_minus_b(rng):
-    co = random_coeffs(rng)
-    cand = solve_boundary_case(5, co, 1.0, 1.0)
-    assert cand.alpha == 0.0 and cand.beta == 0.0
-    assert abs(cand.multipliers[0] + co.c) < 1e-12
-    assert abs(cand.multipliers[2] + co.b) < 1e-12
+    for problem, sol in winners(rng, (5,), 20):
+        cand, co = sol.candidate, problem.coeffs
+        assert cand.alpha == 0.0 and cand.beta == 0.0
+        np.testing.assert_allclose(cand.multipliers, [-co.c, 0.0, -co.b, 0.0], atol=1e-12)
+        np.testing.assert_allclose(cand.multipliers, expected_multipliers(problem, sol), atol=1e-12)
 
 
 def test_case8_multipliers_match_partials(rng):
-    co = random_coeffs(rng)
-    a0, b0 = 1.1, 0.8
-    cand = solve_boundary_case(8, co, a0, b0)
-    assert cand.multipliers[1] == objective_grad_alpha(co, a0, b0)
-    assert cand.multipliers[3] == objective_grad_beta(co, a0, b0)
+    for problem, sol in winners(rng, (8,), 20):
+        cand = sol.candidate
+        assert abs(cand.alpha - problem.alpha0) < 1e-12
+        assert abs(cand.beta - problem.beta0) < 1e-12
+        np.testing.assert_allclose(cand.multipliers, expected_multipliers(problem, sol), atol=1e-12)
 
 
-def test_case1_aligned_endpoint():
-    cand = solve_boundary_case(1, ObjectiveCoeffs(0.3, 0.0, 0.2, -1.0), 1.0, 1.0)
-    assert cand.alpha == 0.0
-    assert abs(cand.beta) < 1e-12  # atan(0 / -1) maps to 0 in [0, pi)
+def test_case1_aligned_endpoint(rng):
+    # A shared first endpoint: case 1 pins alpha at 0 and finds beta = 0,
+    # which the reduction into [0, pi) may also give as pi.
+    x1, x2, y2 = unit_rows(rng, 3, 4)
+    case, alpha, beta, _, _, _ = candidates(ArcProblem.from_endpoints(x1, x2, x1, y2))
+    (slot,) = np.flatnonzero(case == 1)
+    assert alpha[slot] == 0.0
+    assert min(beta[slot], math.pi - beta[slot]) < 1e-12
 
 
 def test_boundary_cases_satisfy_stationarity_in_free_angle(rng):
-    for _ in range(200):
-        co = random_coeffs(rng)
-        a0, b0 = rng.uniform(0.2, 3.0, size=2)
-        for cid in range(1, 9):
-            cand = solve_boundary_case(cid, co, a0, b0)
-            res = kkt_residuals(cand, co, a0, b0)
-            assert abs(res["stationarity_alpha"]) < 1e-12
-            assert abs(res["stationarity_beta"]) < 1e-12
-            assert res["slackness"] < 1e-12
+    for problem in random_problems(rng, 200):
+        case, alpha, beta, _, _, _ = candidates(problem)
+        for slot in np.flatnonzero((case >= 1) & (case <= 4)):
+            ga, gb = partials(problem, alpha[slot], beta[slot])
+            assert abs(gb if case[slot] <= 2 else ga) < 1e-12
+    # Edge and corner winners: each pinned bound's multiplier is +-its partial.
+    for problem, sol in winners(rng, (1, 2, 3, 4, 6, 7), 60):
+        np.testing.assert_allclose(
+            sol.candidate.multipliers, expected_multipliers(problem, sol), atol=1e-12
+        )
 
 
-def test_check_kkt_interior_feasible():
-    cand = KktCandidate(0, 0.5, 0.5, (0.0, 0.0, 0.0, 0.0), -0.1)
-    assert check_kkt(cand, 1.0, 1.0)
+def slot_table(rng, count):
+    """Per slot of random problems: case, in-box flag with its margin, the
+    multiplier sign condition with its margin, and the table's ok flag."""
+    for problem in random_problems(rng, count):
+        case, alpha, beta, _, ok, _ = candidates(problem)
+        for slot in range(len(case)):
+            al, be = alpha[slot], beta[slot]
+            box_gap = max(al - problem.alpha0, be - problem.beta0) - EPS_BOX
+            ga, gb = partials(problem, al, be)
+            lams = np.where(CASE_BOUNDS[case[slot]], [-ga, ga, -gb, gb], 0.0)
+            sign_gap = float(np.max(lams)) - EPS_LAMBDA
+            yield case[slot], box_gap, sign_gap, ok[slot]
 
 
-def test_check_kkt_multiplier_sign_violation():
-    cand = KktCandidate(1, 0.0, 0.5, (0.5, 0.0, 0.0, 0.0), -0.1)
-    assert not check_kkt(cand, 1.0, 1.0)
+def test_check_kkt_interior_feasible(rng):
+    # An interior candidate is ok exactly when it lies in the box.
+    outcomes = set()
+    for case, box_gap, _, ok in slot_table(rng, 300):
+        if case == 0 and abs(box_gap) > 1e-12:
+            assert ok == (box_gap < 0.0)
+            outcomes.add(bool(ok))
+    assert outcomes == {False, True}
 
 
-def test_check_kkt_box_violation():
-    cand = KktCandidate(0, 1.3, 0.5, (0.0, 0.0, 0.0, 0.0), -0.1)
-    assert not check_kkt(cand, 1.0, 1.0)
+def test_check_kkt_multiplier_sign_violation(rng):
+    # In the box, an edge candidate is ok exactly when its multiplier is <= 0.
+    vetoed = 0
+    for case, box_gap, sign_gap, ok in slot_table(rng, 300):
+        if 1 <= case <= 4 and box_gap < -1e-12 and abs(sign_gap) > 1e-12:
+            assert ok == (sign_gap < 0.0)
+            vetoed += not ok
+    assert vetoed > 0
+
+
+def test_check_kkt_box_violation(rng):
+    # Out of the box no candidate but a corner is ok; corners always are.
+    outside = 0
+    for case, box_gap, _, ok in slot_table(rng, 300):
+        if case >= 5:
+            assert ok
+        elif box_gap > 1e-12:
+            assert not ok
+            outside += 1
+    assert outside > 0
 
 
 def test_shared_endpoint_gives_zero_distance():
@@ -153,20 +235,46 @@ def test_antipodal_pair_raises():
         ArcProblem.from_endpoints([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1])
 
 
-def test_envelope_property(rng):
-    for _ in range(300):
-        dim = int(rng.choice([3, 4, 8]))
-        pts = unit_rows(rng, 4, dim)
-        sol = optimal_arc_distance(ArcProblem.from_endpoints(*pts))
-        corners = min(
-            chord_distance(pts[i], pts[j]) for i in (0, 1) for j in (2, 3)
-        )
-        assert sol.distance <= corners + 1e-9
+def arc_points(dim_range=(2, 9)):
+    """Four unit rows of one dimension, from raw coordinates in [-1, 1]."""
+    return st.integers(*dim_range).flatmap(
+        lambda dim: arrays(np.float64, (4, dim), elements=st.floats(-1.0, 1.0))
+    )
+
+
+def solve_or_none(x1, x2, y1, y2):
+    """The distance and the slack a collapsed arc brings, or None for a zero
+    row or an antiparallel pair.
+
+    An arc whose endpoints are closer than DEGENERACY_EPS in 1 - x1.x2 is
+    solved as the point x1, which can move the distance by up to its chord.
+    Beyond that, the solve ranks candidates by f = -p1.p2, which carries an
+    absolute rounding error of a few ulps, so squared distances are
+    compared: at contact a 1e-16 error in d^2 is a 1e-8 error in d.
+    """
+    try:
+        problem = ArcProblem.from_endpoints(x1, x2, y1, y2)
+    except HardNegError:
+        return None
+    slack = 1e-12
+    for (a, b), collapsed in (((problem.x1, problem.x2), problem.x_collapsed),
+                              ((problem.y1, problem.y2), problem.y_collapsed)):
+        slack += 4.0 * float(np.linalg.norm(a - b)) * collapsed  # d^2 moves by <= (2 + 2) |a - b|
+    return optimal_arc_distance(problem).distance, slack
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=arc_points())
+def test_envelope_property(pts):
+    solved = solve_or_none(*pts)
+    assume(solved is not None)
+    base, slack = solved
+    unit = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    corners = min(float(np.linalg.norm(unit[i] - unit[j])) for i in (0, 1) for j in (2, 3))
+    assert base**2 <= corners**2 + slack
 
 
 def test_solution_internal_consistency(rng):
-    from hardneg.geometry import point_on_arc
-
     for _ in range(100):
         problem = random_arc_problem(rng, 6)
         sol = optimal_arc_distance(problem)
@@ -176,47 +284,55 @@ def test_solution_internal_consistency(rng):
         np.testing.assert_allclose(
             sol.p2, point_on_arc(problem.basis_y, sol.candidate.beta), atol=1e-12
         )
-        assert abs(sol.distance - chord_distance(sol.p1, sol.p2)) < 1e-9
+        assert abs(sol.distance - np.linalg.norm(sol.p1 - sol.p2)) < 1e-12
 
 
-def test_symmetry_under_swaps(rng):
-    for _ in range(100):
-        dim = int(rng.choice([3, 5, 16]))
-        x1, x2, y1, y2 = unit_rows(rng, 4, dim)
-        base = optimal_arc_distance(ArcProblem.from_endpoints(x1, x2, y1, y2)).distance
-        for pts in ((x2, x1, y1, y2), (x1, x2, y2, y1), (y1, y2, x1, x2)):
-            other = optimal_arc_distance(ArcProblem.from_endpoints(*pts)).distance
-            assert abs(base - other) < 1e-9
+@settings(max_examples=300, deadline=None)
+@given(pts=arc_points(), seed=st.integers(0, 2**32 - 1))
+def test_symmetry_under_swaps(pts, seed):
+    # Swapping the arcs, reversing either arc and rotating the space leave
+    # the distance unchanged.
+    x1, x2, y1, y2 = pts
+    solved = solve_or_none(x1, x2, y1, y2)
+    assume(solved is not None)
+    base, slack = solved
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(x1), len(x1))))
+    for other in ((y1, y2, x1, x2), (x2, x1, y1, y2), (x1, x2, y2, y1), pts @ rotation.T):
+        distance, other_slack = solve_or_none(*other)
+        assert abs(distance**2 - base**2) <= max(slack, other_slack)
 
 
 def test_winner_kkt_residuals(rng):
-    for _ in range(300):
-        problem = random_arc_problem(rng, int(rng.choice([3, 8, 24])))
+    for problem in random_problems(rng, 300, dims=(3, 8, 24)):
         sol = optimal_arc_distance(problem)
         res = kkt_residuals(
             sol.candidate, problem.coeffs, problem.alpha0, problem.beta0
         )
         assert abs(res["stationarity_alpha"]) < 1e-8
         assert abs(res["stationarity_beta"]) < 1e-8
+        assert res["slackness"] < 1e-8
         if sol.candidate.case_id == 0:
-            assert abs(objective_grad_alpha(problem.coeffs, sol.candidate.alpha, sol.candidate.beta)) < 1e-8
-            assert abs(objective_grad_beta(problem.coeffs, sol.candidate.alpha, sol.candidate.beta)) < 1e-8
+            ga, gb = partials(problem, sol.candidate.alpha, sol.candidate.beta)
+            assert abs(ga) < 1e-8 and abs(gb) < 1e-8
 
 
 def test_scalar_matches_stack(rng):
-    pts = unit_rows(rng, 4 * 400, 8).reshape(400, 4, 8)
-    # fold in collapsed instances
-    pts[::50, 1] = pts[::50, 0]
-    pts[::75, 3] = pts[::75, 2]
-    stack = solve_arc_stack(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    for t in range(400):
-        sol = optimal_arc_distance(ArcProblem.from_endpoints(*pts[t]))
-        assert sol.candidate.case_id == stack.case_id[t]
-        assert abs(sol.candidate.alpha - stack.alpha[t]) < 1e-12
-        assert abs(sol.candidate.beta - stack.beta[t]) < 1e-12
-        assert abs(sol.distance - stack.distance[t]) < 1e-12
-    residuals = arc_stack_residuals(stack)
-    assert float(np.max(residuals)) < 1e-8
+    # One problem solved alone is its row of a 200-row stack, bit for bit.
+    pts = unit_rows(rng, 4 * 200, 8).reshape(200, 4, 8)
+    pts[::50, 1] = pts[::50, 0]  # collapsed x arcs
+    pts[::75, 3] = pts[::75, 2]  # collapsed y arcs
+    problems = [ArcProblem.from_endpoints(*p) for p in pts]
+    stack = solve_arc_stack(*(np.stack(side) for side in zip(*map(endpoints, problems))))
+    for t, problem in enumerate(problems):
+        sol = optimal_arc_distance(problem)
+        cand = sol.candidate
+        assert cand.case_id == stack.case_id[t]
+        assert (cand.alpha, cand.beta, cand.f_value) == (
+            stack.alpha[t], stack.beta[t], stack.f_value[t])
+        assert cand.multipliers == tuple(stack.multipliers[t])
+        assert np.array_equal(sol.p1, stack.p1[t]) and np.array_equal(sol.p2, stack.p2[t])
+        assert sol.distance == stack.distance[t]
+    assert float(np.max(arc_stack_residuals(stack))) < 1e-8
 
 
 def test_stack_rejects_non_finite(rng):

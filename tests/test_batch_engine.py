@@ -16,7 +16,6 @@ from hardneg import (
     combination_count,
     optimal_distance_table,
 )
-from hardneg.batch_engine import export_table_csv, load_batch_csv, load_batch_json
 from hardneg.vectorized import solve_arc_stack
 
 from conftest import random_batch, unit_rows
@@ -159,46 +158,13 @@ def test_segment_variant_table(rng):
         assert dist <= endpoint_min + 1e-9
 
 
-def test_csv_and_json_io(tmp_path, rng):
-    batch = random_batch(rng, num_classes=2, per_class=2, dim=3)
-    csv_path = tmp_path / "batch.csv"
-    with open(csv_path, "w") as fh:
-        for label, row in zip(batch.labels, batch.embeddings):
-            fh.write(",".join([str(label)] + [repr(float(v)) for v in row]) + "\n")
-    loaded = load_batch_csv(csv_path)
-    np.testing.assert_allclose(loaded.embeddings, batch.embeddings, atol=1e-12)
-
-    json_path = tmp_path / "batch.json"
-    json_path.write_text(
-        '{"labels": %s, "embeddings": %s}'
-        % (list(map(int, batch.labels)), batch.embeddings.tolist())
-    )
-    loaded = load_batch_json(json_path)
-    np.testing.assert_allclose(loaded.embeddings, batch.embeddings, atol=1e-12)
-
-    table = optimal_distance_table(batch)
-    out = tmp_path / "table.csv"
-    export_table_csv(table, out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "i,j,k,l,distance"
-    assert len(lines) == 1 + len(table.combos)
-
-
-def test_non_finite_embeddings_rejected(tmp_path, rng):
+def test_non_finite_embeddings_rejected(rng):
     emb = unit_rows(rng, 4, 3)
     for bad in (np.nan, np.inf):
         emb_bad = emb.copy()
         emb_bad[2, 1] = bad
         with pytest.raises(InvalidBatchShape):
             LabeledBatch.from_arrays(emb_bad, np.array([0, 0, 1, 1]))
-    csv_path = tmp_path / "nan.csv"
-    csv_path.write_text("0,1,0\n0,0,1\n1,nan,1\n1,1,1\n")
-    with pytest.raises(InvalidBatchShape):
-        load_batch_csv(csv_path)
-    json_path = tmp_path / "nan.json"
-    json_path.write_text('{"labels": [0, 0, 1, 1], "embeddings": [[1, 0], [0, 1], [NaN, 1], [1, 1]]}')
-    with pytest.raises(InvalidBatchShape):
-        load_batch_json(json_path)
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardneg.cli import main
 
@@ -327,3 +332,88 @@ def test_experiment_non_finite_concentration(tmp_path, capsys):
     for value in (float("nan"), float("inf")):
         spec = dict(SMALL_SPEC, concentration=value)
         _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
+
+
+# Fuzzing the commands that solve one instance. Each field of an instance is
+# either a well-formed vector or one of the malformed values below; a call
+# must exit 0 with finite results, or 2 with a JSON error, and never raise.
+_KEYS = ("x1", "x2", "y1", "y2")
+_FIELD_KINDS = ("keep", "keep", "keep", "zero", "antiparallel", "duplicate", "longer",
+                "shorter", "non_finite", "huge", "tiny", "junk", "missing")
+_JUNK = (st.none() | st.booleans() | st.text(max_size=3) | st.floats()
+         | st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3)
+         | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+         | st.lists(st.text(max_size=2), max_size=3))
+_VARIANTS = ("absent", "arc", "segment", "Segment", "", None, 1, ["arc"])
+
+
+@st.composite
+def instance_payloads(draw):
+    if draw(st.integers(0, 19)) == 0:  # not an object at all
+        return draw(_JUNK)
+    dim = draw(st.integers(1, 5))
+    base = draw(arrays(np.float64, (4, dim), elements=st.floats(-2.0, 2.0)))
+    payload = {}
+    for index, key in enumerate(_KEYS):
+        kind = draw(st.sampled_from(_FIELD_KINDS))
+        row, partner = base[index], base[index ^ 1]
+        if kind == "missing":
+            continue
+        if kind == "junk":
+            payload[key] = draw(_JUNK)
+            continue
+        value = {
+            "keep": row,
+            "zero": np.zeros(dim),
+            "antiparallel": -partner,
+            "duplicate": partner,
+            "longer": np.append(row, 0.5),
+            "shorter": row[:-1],
+            "non_finite": np.where(np.arange(dim) == 0,
+                                   draw(st.sampled_from([np.nan, np.inf, -np.inf])), row),
+            "huge": row * 1e300,
+            "tiny": row * 1e-300,
+        }[kind]
+        payload[key] = value.tolist()
+    variant = draw(st.sampled_from(_VARIANTS))
+    if variant != "absent":
+        payload["variant"] = variant
+    return payload
+
+
+def _finite(values):
+    return bool(np.all(np.isfinite(np.asarray(values, dtype=float))))
+
+
+def _check_solved(command, out):
+    if command == "cases":
+        root = ET.fromstring(out)
+        winner = [el.text for el in root.iter() if (el.text or "").startswith("winner")]
+        assert "nan" not in winner[0] and "inf" not in winner[0]
+        return
+    payload = json.loads(out)
+    if command == "solve":
+        assert _finite([payload["distance"]]) and _finite(payload["p1"] + payload["p2"])
+        if payload["variant"] == "arc":  # optimal points lie on the sphere
+            norms = np.linalg.norm([payload["p1"], payload["p2"]], axis=1)
+            assert np.all(np.abs(norms - 1.0) < 1e-9)
+    else:
+        assert _finite([payload["best_distance"], *payload["best_params"]])
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=instance_payloads())
+def test_fuzz_instance_commands(tmp_path, payload):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["solve"], ["oracle", "--resolution", "0.05"], ["cases"]):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            code = main([*argv, str(path)])
+        out = buf.getvalue()
+        assert code in (0, 2), (argv, payload, out)
+        if code == 2:
+            error = json.loads(out)
+            assert set(error) == {"error", "message"}
+        else:
+            _check_solved(argv[0], out)

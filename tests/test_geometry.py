@@ -8,19 +8,31 @@ from hypothesis import strategies as st
 from hardneg import (
     DegenerateArc,
     DimensionMismatch,
+    LabeledBatch,
     NearZeroVector,
-    chord_distance,
-    evaluate_objective,
     gram_schmidt_basis,
     normalize,
     objective_coeffs,
+    pairwise,
     point_on_arc,
 )
 from hardneg.geometry import OrthoBasis, fallback_orthonormal
+from hardneg.vectorized import objective
 
 from conftest import unit_rows
 
 SQRT2 = math.sqrt(2.0)
+
+
+def chord_distance(p, q):
+    """The chord distance the losses use, from the pairwise matrix of p and q."""
+    dist, _ = pairwise(LabeledBatch.from_arrays(np.stack([p, q]), np.array([0, 1])))
+    return float(dist[0, 1])
+
+
+def evaluate_objective(co, alpha, beta):
+    return objective(co.a, co.b, co.c, co.d, math.sin(alpha), math.cos(alpha),
+                     math.sin(beta), math.cos(beta))
 
 
 def test_normalize_axis_scaling():

@@ -7,8 +7,6 @@ from hardneg import (
     ArcProblem,
     LabeledBatch,
     LossConfig,
-    NondifferentiablePoint,
-    analytic_loop_triplet_grad,
     finite_diff_grad,
     optimal_arc_distance,
     optimal_distance_table,
@@ -53,28 +51,9 @@ def test_adjoints_match_numeric_jacobians(rng):
         np.testing.assert_allclose(a2, n2, atol=1e-6)
 
 
-def tuple_loss(points, margin):
-    problem = ArcProblem.from_endpoints(*points)
-    sol = optimal_arc_distance(problem)
-    value = float(np.sum((points[0] - points[1]) ** 2)) - sol.distance**2 + margin
-    return max(value, 0.0)
-
-
-def tuple_fd(points, margin, h=1e-6):
-    grads = []
-    for p in range(4):
-        g = np.zeros(points.shape[1])
-        for c in range(points.shape[1]):
-            vals = []
-            for sign in (1.0, -1.0):
-                q = points.copy()
-                row = q[p].copy()
-                row[c] += sign * h
-                q[p] = row / np.linalg.norm(row)
-                vals.append(tuple_loss(q, margin))
-            g[c] = (vals[0] - vals[1]) / (2 * h)
-        grads.append(g)
-    return grads
+def tuple_batch(points):
+    """One tuple as a batch: (x1, x2) of class 0, (y1, y2) of class 1, one combination."""
+    return LabeledBatch.from_arrays(np.asarray(points), np.array([0, 0, 1, 1]))
 
 
 def test_tuple_gradient_inactive_hinge(rng):
@@ -83,11 +62,10 @@ def test_tuple_gradient_inactive_hinge(rng):
     x2 = np.array([math.cos(0.05), math.sin(0.05), 0.0, 0.0])
     y1 = np.array([0.0, 0.0, 1.0, 0.0])
     y2 = np.array([0.0, 0.0, math.cos(0.3), math.sin(0.3)])
-    problem = ArcProblem.from_endpoints(x1, x2, y1, y2)
-    sol = optimal_arc_distance(problem)
-    grads = analytic_loop_triplet_grad(problem, sol, margin=0.05)
-    for g in grads.values():
-        assert np.all(g == 0.0)
+    batch = tuple_batch([x1, x2, y1, y2])
+    loss, grad = loss_and_grad("loop_triplet", batch, LossConfig(margin=0.05))
+    assert loss.total == 0.0
+    assert np.all(grad == 0.0)
 
 
 def test_tuple_gradient_corner_case_shapes():
@@ -97,55 +75,59 @@ def test_tuple_gradient_corner_case_shapes():
     y1 = np.array([0.95, -0.25, 0.19, 0.0])
     y2 = np.array([0.85, -0.40, 0.30, 0.15])
     y1, y2 = y1 / np.linalg.norm(y1), y2 / np.linalg.norm(y2)
-    problem = ArcProblem.from_endpoints(x1, x2, y1, y2)
-    sol = optimal_arc_distance(problem)
+    sol = optimal_arc_distance(ArcProblem.from_endpoints(x1, x2, y1, y2))
     assert sol.candidate.case_id == 5
-    grads = analytic_loop_triplet_grad(problem, sol, margin=2.0)
-    delta = sol.p1 - sol.p2
-    np.testing.assert_allclose(grads["x1"], 2 * ((x1 - x2) - delta), atol=1e-12)
-    np.testing.assert_allclose(grads["x2"], -2 * (x1 - x2), atol=1e-12)
-    np.testing.assert_allclose(grads["y1"], 2 * delta, atol=1e-12)
-    assert np.all(grads["y2"] == 0.0)
+    _, grad = loss_and_grad("loop_triplet", tuple_batch([x1, x2, y1, y2]), LossConfig(margin=2.0))
+    # Both hinges are active; the loss is the mean of |x1 - x2| - rho and
+    # |y1 - y2| - rho plus the margin, with rho = |x1 - y1| at this corner.
+    u_x = (x1 - x2) / np.linalg.norm(x1 - x2)
+    u_y = (y1 - y2) / np.linalg.norm(y1 - y2)
+    delta = (x1 - y1) / sol.distance
+    expected = np.stack([u_x - 2 * delta, -u_x, u_y + 2 * delta, -u_y]) / 2
+    np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
 def test_tuple_gradient_matches_finite_differences(rng):
     checked = 0
     interior_checked = 0
     worst = 0.0
+    cfg = LossConfig(margin=0.3)
     while checked < 60:
-        dim = int(rng.choice([4, 6, 8]))
-        points = unit_rows(rng, 4, dim)
+        points = unit_rows(rng, 4, int(rng.choice([4, 6, 8])))
         problem = ArcProblem.from_endpoints(*points)
         sol = optimal_arc_distance(problem)
-        margin = 0.3
-        arg = float(np.sum((points[0] - points[1]) ** 2)) - sol.distance**2 + margin
-        if arg < 1e-3 or active_set_margin(problem, sol) < 1e-4:
+        hinges = [np.linalg.norm(points[a] - points[b]) - sol.distance + cfg.margin
+                  for a, b in ((0, 1), (2, 3))]
+        if min(hinges) < 1e-3 or active_set_margin(problem, sol) < 1e-4:
             continue
-        analytic = analytic_loop_triplet_grad(problem, sol, margin)
-        fd = tuple_fd(points, margin)
-        flat_analytic = np.concatenate(
-            [
-                analytic[name] - (analytic[name] @ points[i]) * points[i]
-                for i, name in enumerate(("x1", "x2", "y1", "y2"))
-            ]
-        )
-        flat_fd = np.concatenate(fd)
-        rel = np.linalg.norm(flat_analytic - flat_fd) / max(np.linalg.norm(flat_fd), 1e-12)
-        worst = max(worst, rel)
+        batch = tuple_batch(points)
+        tangent = project_tangent(batch.embeddings, loss_and_grad("loop_triplet", batch, cfg)[1])
+        fd = np.stack([
+            finite_diff_grad(lambda b: evaluate_loss("loop_triplet", b, cfg), batch, idx)
+            for idx in range(4)
+        ])
+        worst = max(worst, np.linalg.norm(tangent - fd) / max(np.linalg.norm(fd), 1e-12))
         checked += 1
         interior_checked += sol.candidate.case_id == 0
     assert worst < 1e-3
     assert interior_checked > 0
 
 
-def test_tuple_gradient_raises_at_hinge_kink(rng):
-    points = unit_rows(rng, 4, 5)
-    problem = ArcProblem.from_endpoints(*points)
-    sol = optimal_arc_distance(problem)
-    kink_margin = sol.distance**2 - float(np.sum((points[0] - points[1]) ** 2))
-    if kink_margin >= 0:
-        with pytest.raises(NondifferentiablePoint):
-            analytic_loop_triplet_grad(problem, sol, kink_margin)
+def test_tuple_gradient_drops_term_at_hinge_kink(rng):
+    # A term exactly at its kink takes the subgradient 0: the gradient equals
+    # the one just inside the inactive side, not the one just outside.
+    while True:
+        points = unit_rows(rng, 4, 5)
+        batch = tuple_batch(points)
+        dist, _ = pairwise(batch)
+        rho = optimal_distance_table(batch).distances[0]
+        if rho - dist[0, 1] > 1e-3 and dist[2, 3] - dist[0, 1] > 1e-3:
+            break
+    kink = rho - dist[0, 1]  # the (x1, x2) term's hinge argument is exactly 0 here
+    at, below, above = (loss_and_grad("loop_triplet", batch, LossConfig(margin=m))[1]
+                        for m in (kink, kink - 1e-9, kink + 1e-9))
+    assert np.array_equal(at, below)
+    assert not np.allclose(at, above)
 
 
 def test_finite_diff_constant_loss(rng):

@@ -341,15 +341,3 @@ def test_loss_value_total_is_term_mean(rng):
         value = fn(batch, cfg)
         mean = sum(v for _, v in value.per_term) / len(value.per_term)
         assert abs(value.total - mean) < 1e-12
-
-
-def test_loss_diagnostics_csv(tmp_path, rng):
-    from hardneg.losses import export_loss_csv
-
-    batch = random_batch(rng, num_classes=3, per_class=2, dim=4)
-    value = triplet(batch, LossConfig(margin=0.3))
-    path = tmp_path / "terms.csv"
-    export_loss_csv(value, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "term,contribution"
-    assert len(lines) == 1 + len(value.per_term)

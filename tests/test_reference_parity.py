@@ -27,12 +27,14 @@ from hardneg import (
     optimal_distance_table,
     vectorized,
 )
-from hardneg.arc_solver import EPS_BOX, EPS_LAMBDA, EPS_QUAD
 from hardneg.errors import DegenerateSegment
-from hardneg.segment_solver import EPS_SEGMENT
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
 from hardneg.vectorized import (
     CASE_BOUNDS,
+    EPS_BOX,
+    EPS_LAMBDA,
+    EPS_QUAD,
+    EPS_SEGMENT,
     ArcSolution,
     SegmentStackSolution,
     _arc_side,
@@ -132,6 +134,13 @@ def parity_batches(classes, per_class, dim, seed):
     return spread, tight, duplicated
 
 
+def capped_reference_kmeans(points, k):
+    """The reference asked for at most as many clusters as there are distinct
+    rows, the cap _farthest_point_kmeans applies; past it the reference
+    reseeds empty clusters until max_iter."""
+    return reference_kmeans(points, min(k, len(np.unique(points, axis=0))))
+
+
 @pytest.mark.parametrize("shape", list(SHAPES), ids=list(SHAPES))
 def test_kmeans_matches_reference(shape):
     classes, per_class, dim, seeds = SHAPES[shape]
@@ -140,13 +149,14 @@ def test_kmeans_matches_reference(shape):
             for k in (max(1, classes // 2), classes, 2 * classes):
                 np.testing.assert_array_equal(
                     _farthest_point_kmeans(batch.embeddings, k),
-                    reference_kmeans(batch.embeddings, k),
+                    capped_reference_kmeans(batch.embeddings, k),
                 )
 
 
 def test_kmeans_reseeds_empty_clusters_like_reference():
-    # Three distinct points for up to eight clusters: seeding repeats points
-    # and Lloyd empties clusters, so the reseed runs, several times a step.
+    # Three distinct points for up to twelve clusters. Uncapped, seeding
+    # repeated points and Lloyd emptied clusters several times a step; with
+    # k capped at three, every k must give the reference's three clusters.
     rng = np.random.default_rng(5)
     distinct = rng.normal(size=(3, 6))
     for trial in range(20):
@@ -154,7 +164,7 @@ def test_kmeans_reseeds_empty_clusters_like_reference():
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         for k in (2, 4, 8, 12):
             np.testing.assert_array_equal(
-                _farthest_point_kmeans(points, k), reference_kmeans(points, k)
+                _farthest_point_kmeans(points, k), capped_reference_kmeans(points, k)
             )
 
 
@@ -361,7 +371,6 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
         coeffs=np.stack([a, b, c, d], axis=1),
         dot_x=dot_x,
         dot_y=dot_y,
-        cross=np.stack([x1y1, x1y2, x2y1, x2y2], axis=1),
         res_x=res_x,
         res_y=res_y,
         x_collapsed=x_col,
@@ -562,8 +571,10 @@ def test_segment_stack_matches_reference(dim):
 
 
 # Verbatim copy of gradients._arc_adjoint_blocks before the closed form: it
-# stacks each row's local Gram matrix and projects delta through it.
-def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
+# stacks each row's local Gram matrix and projects delta through it. The
+# solution no longer carries the cross dots, so they come in as the rows
+# (x1.y1, x1.y2, x2.y1, x2.y2) of cross, formed as the solve formed them.
+def _arc_adjoint_blocks(sol, sel, cross) -> np.ndarray:
     """(n, 4, 4) adjoint coefficients of the selected arc rows over (x1, x2, y1, y2).
 
     A point is p = e1 cos(a) + n2 sin(a) with n2 = (e2 - c0 e1) / s. Pinned
@@ -572,7 +583,7 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     product read from the rows' local Gram matrix.
     """
     n = len(sel)
-    x1y1, x1y2, x2y1, x2y2 = sol.cross[sel].T
+    x1y1, x1y2, x2y1, x2y2 = cross[sel].T
     dot_x, dot_y, one = sol.dot_x[sel], sol.dot_y[sel], np.ones(n)
     local = np.stack([one, dot_x, x1y1, x1y2, dot_x, one, x2y1, x2y2,
                       x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
@@ -614,21 +625,36 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     return blocks
 
 
+def table_cross(table):
+    """The cross dots of a table's rows, gathered from its Gram matrix as the solve gathers them."""
+    i, j, k, l = table.combos.T
+    gram = table.gram
+    return np.stack([gram[i, k], gram[i, l], gram[j, k], gram[j, l]], axis=1)
+
+
+def stack_solution(x1, x2, y1, y2):
+    """The row solve of the stacks and its cross dots, formed as the solve forms them."""
+    cross = np.stack(row_dots(x1, x2, y1, y2)[2:], axis=1)
+    return vectorized.solve_arc_stack(x1, x2, y1, y2), cross
+
+
 def adjoint_solutions(kind):
-    """Arc solutions to check the adjoint blocks on: tables of seeded batches
-    (Gram path), degenerate stacks and forced-branch stacks (row path)."""
+    """(solution, cross dots) pairs to check the adjoint blocks on: tables of
+    seeded batches (Gram path), degenerate stacks and forced-branch stacks
+    (row path)."""
     if kind == "batches":
         for classes, per_class, dim in SOLVER_SHAPES.values():
             for concentration in (2.5, 40.0):
                 for seed in range(3):
                     spec = SyntheticSpec(classes, per_class, dim, concentration=concentration,
                                          seed=seed)
-                    yield optimal_distance_table(generate_synthetic(spec)).solution
+                    table = optimal_distance_table(generate_synthetic(spec))
+                    yield table.solution, table_cross(table)
     elif kind == "degenerate":
         for dim in (3, 8, 64):
-            yield vectorized.solve_arc_stack(*degenerate_stacks(np.random.default_rng(dim), 300, dim))
+            yield stack_solution(*degenerate_stacks(np.random.default_rng(dim), 300, dim))
     else:
-        yield vectorized.solve_arc_stack(*forced_branch_stacks(np.random.default_rng(7)))
+        yield stack_solution(*forced_branch_stacks(np.random.default_rng(7)))
 
 
 ADJOINT_KINDS = ["batches", "degenerate", "forced"]
@@ -636,16 +662,16 @@ ADJOINT_KINDS = ["batches", "degenerate", "forced"]
 
 @pytest.mark.parametrize("kind", ADJOINT_KINDS)
 def test_adjoint_blocks_match_reference(kind):
-    for sol in adjoint_solutions(kind):
+    for sol, cross in adjoint_solutions(kind):
         sel = np.flatnonzero(sol.distance > gradients._TINY_DIST)
-        ref = _arc_adjoint_blocks(sol, sel)
+        ref = _arc_adjoint_blocks(sol, sel, cross)
         new = gradients._arc_adjoint_blocks(sol, sel)
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_adjoint_inputs_cover_every_case():
     cases = np.concatenate([sol.case_id[sol.distance > gradients._TINY_DIST]
-                            for kind in ADJOINT_KINDS for sol in adjoint_solutions(kind)])
+                            for kind in ADJOINT_KINDS for sol, _ in adjoint_solutions(kind)])
     assert set(cases.tolist()) == set(range(9))
 
 
@@ -666,7 +692,7 @@ def test_optimal_distance_grad_stack_matches_reference_on_row_subset(shape):
         ref = np.zeros((n, n))
         rows = table.combos[sel]
         np.add.at(ref, (rows[:, :, None], rows[:, None, :]),
-                  weights[sel][:, None, None] * _arc_adjoint_blocks(sol, sel))
+                  weights[sel][:, None, None] * _arc_adjoint_blocks(sol, sel, table_cross(table)))
         new = gradients.optimal_distance_grad_stack(n, table.combos, sol, weights)
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
         emb = batch.embeddings

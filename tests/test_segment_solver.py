@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hardneg import (
     DegenerateSegment,
@@ -8,8 +11,13 @@ from hardneg import (
     grid_min_segment,
     optimal_segment_distance,
 )
-from hardneg.segment_solver import segment_residuals
-from hardneg.vectorized import solve_segment_stack
+from hardneg.vectorized import CASE_BOUNDS, solve_segment_stack
+
+
+def gradients_at(problem, sol):
+    """Partials of |p1 - p2|^2 / 2 in k1 and k2: -u.delta and v.delta."""
+    delta = sol.p1 - sol.p2
+    return -float(problem.u @ delta), float(problem.v @ delta)
 
 
 def test_parallel_offset_segments():
@@ -66,14 +74,35 @@ def test_solution_consistency(rng):
         assert -1e-9 <= sol.k2 <= 1 + 1e-9
 
 
-def test_envelope_property(rng):
-    for _ in range(300):
-        pts = rng.normal(size=(4, int(rng.choice([2, 3, 7]))))
-        sol = optimal_segment_distance(SegmentProblem.from_endpoints(*pts))
-        corners = min(
-            float(np.linalg.norm(pts[i] - pts[j])) for i in (0, 1) for j in (2, 3)
-        )
-        assert sol.distance <= corners + 1e-9
+def segment_points():
+    """Four points of one dimension with coordinates in [-4, 4]."""
+    return st.integers(1, 8).flatmap(
+        lambda dim: arrays(np.float64, (4, dim), elements=st.floats(-4.0, 4.0))
+    )
+
+
+def segment_distance_or_none(x1, x2, y1, y2):
+    try:
+        return optimal_segment_distance(SegmentProblem.from_endpoints(x1, x2, y1, y2)).distance
+    except DegenerateSegment:
+        return None
+
+
+def sq_tol(pts):
+    """Squared-distance tolerance: the solve ranks candidates by squared
+    distances expanded in u, v and w, whose rounding error scales with
+    their squares, so at contact a 1e-16 error in d^2 is a 1e-8 error in d."""
+    spread = max(float(np.sum((pts[i] - pts[j]) ** 2)) for i in range(4) for j in range(i))
+    return 1e-12 * max(spread, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=segment_points())
+def test_envelope_property(pts):
+    base = segment_distance_or_none(*pts)
+    assume(base is not None)
+    corners = min(float(np.linalg.norm(pts[i] - pts[j])) for i in (0, 1) for j in (2, 3))
+    assert base**2 <= corners**2 + sq_tol(pts)
 
 
 def test_matches_grid_oracle(rng):
@@ -93,32 +122,57 @@ def test_case0_winner_stationarity(rng):
         pts = rng.normal(size=(4, 6))
         problem = SegmentProblem.from_endpoints(*pts)
         sol = optimal_segment_distance(problem)
-        res = segment_residuals(problem, sol)
-        assert abs(res["stationarity_k1"]) < 1e-8
-        assert abs(res["stationarity_k2"]) < 1e-8
-        seen += sol.case_id == 0
+        if sol.case_id == 0:
+            g1, g2 = gradients_at(problem, sol)
+            assert abs(g1) < 1e-8 and abs(g2) < 1e-8
+            seen += 1
     assert seen > 0
 
 
-def test_symmetry_under_swaps(rng):
-    for _ in range(100):
-        x1, x2, y1, y2 = rng.normal(size=(4, 5))
-        base = optimal_segment_distance(
-            SegmentProblem.from_endpoints(x1, x2, y1, y2)
-        ).distance
-        for pts in ((x2, x1, y1, y2), (x1, x2, y2, y1), (y1, y2, x1, x2)):
-            other = optimal_segment_distance(SegmentProblem.from_endpoints(*pts)).distance
-            assert abs(base - other) < 1e-9
+def test_winner_kkt_conditions(rng):
+    # A free parameter is stationary; a parameter pinned at 0 has a partial
+    # >= 0 (moving inward does not help), one pinned at 1 a partial <= 0.
+    seen = set()
+    for _ in range(600):
+        pts = rng.normal(size=(4, int(rng.choice([2, 3, 6]))))
+        problem = SegmentProblem.from_endpoints(*pts)
+        sol = optimal_segment_distance(problem)
+        low1, high1, low2, high2 = CASE_BOUNDS[sol.case_id]
+        for grad, low, high in zip(gradients_at(problem, sol), (low1, low2), (high1, high2)):
+            if low:
+                assert grad >= -1e-9
+            elif high:
+                assert grad <= 1e-9
+            else:
+                assert abs(grad) < 1e-8
+        seen.add(sol.case_id)
+    assert seen == set(range(9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=segment_points(), seed=st.integers(0, 2**32 - 1))
+def test_symmetry_under_swaps(pts, seed):
+    # Swapping the segments, reversing either one and rotating the space
+    # leave the distance unchanged.
+    x1, x2, y1, y2 = pts
+    base = segment_distance_or_none(x1, x2, y1, y2)
+    assume(base is not None)
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(x1), len(x1))))
+    for other in ((y1, y2, x1, x2), (x2, x1, y1, y2), (x1, x2, y2, y1), pts @ rotation.T):
+        assert abs(segment_distance_or_none(*other) ** 2 - base**2) <= sq_tol(pts)
 
 
 def test_scalar_matches_stack(rng):
-    pts = rng.normal(size=(300, 4, 5))
+    # One problem solved alone is its row of a 200-row stack, bit for bit.
+    pts = rng.normal(size=(200, 4, 5))
     pts[::40, 1] = pts[::40, 0]  # collapsed first segments
+    pts[1::45, 3] = pts[1::45, 2]  # collapsed second segments
     stack = solve_segment_stack(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
-    for t in range(300):
+    for t in range(200):
         sol = optimal_segment_distance(SegmentProblem.from_endpoints(*pts[t]))
-        assert abs(sol.distance - stack.distance[t]) < 1e-9
         assert sol.case_id == stack.case_id[t]
+        assert (sol.k1, sol.k2, sol.distance) == (stack.k1[t], stack.k2[t], stack.distance[t])
+        assert np.array_equal(sol.p1, stack.p1[t]) and np.array_equal(sol.p2, stack.p2[t])
 
 
 def test_stack_rejects_non_finite(rng):

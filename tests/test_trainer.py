@@ -13,6 +13,7 @@ from hardneg import (
     recall_at_k,
     train,
 )
+from hardneg import trainer
 from hardneg.trainer import evaluate
 
 
@@ -86,6 +87,27 @@ def test_metrics_on_collapsed_classes():
     assert recall_at_k(batch, 1) == 1.0
     assert nmi(batch, 3) == 1.0
     assert f1(batch, 3) == 1.0
+
+
+def test_kmeans_converges_with_more_clusters_than_distinct_rows(monkeypatch):
+    # 32 rows holding 4 distinct values, 8 clusters asked for: the clustering
+    # must settle in a few Lloyd iterations, one value per cluster.
+    rng = np.random.default_rng(9)
+    distinct = rng.normal(size=(4, 6))
+    distinct /= np.linalg.norm(distinct, axis=1, keepdims=True)
+    which = np.repeat(np.arange(4), 8)
+    calls = []
+    nearest = trainer._nearest_centers
+
+    def counting(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    monkeypatch.setattr(trainer, "_nearest_centers", counting)
+    assign = trainer._farthest_point_kmeans(distinct[which], 8)
+    assert len(calls) <= 3
+    _, per_value = np.unique(np.stack([which, assign]), axis=1, return_counts=True)
+    assert len(per_value) == 4 and np.all(per_value == 8)
 
 
 def test_nmi_random_labels_near_zero():
