@@ -38,7 +38,7 @@ from .errors import (
 )
 from .losses import LossConfig
 from .gradients import LOSS_REGISTRY
-from .oracle import grid_min_arc, grid_min_segment
+from .oracle import check_resolution, grid_min_arc, grid_min_segment
 from .segment_solver import SegmentProblem, optimal_segment_distance
 from .trainer import SyntheticSpec, evaluate, train
 from .vectorized import arc_candidate_table, objective
@@ -57,6 +57,22 @@ INPUT_ERRORS = (
 
 SWEEP_DIMS = (3, 8, 64, 512)
 VARIANTS = ("arc", "segment")
+
+# Bounds on an experiment config. A step holds (B, B) matrices and, for the
+# loop_ losses, a solver row for each of about B^2 / 8 combinations, so more
+# than 4,096 samples or dimensions is far beyond desk scale; a million
+# full-batch steps take hours even at the desk shape. Beyond these, a run
+# failed an allocation, or ran without end, after writing its manifest.
+MAX_BATCH_SIZE = 4096
+MAX_DIMENSION = 4096
+MAX_STEPS = 10**6
+# A rate this large already replaces each row by its normalized gradient;
+# near 1e150 the squared row norms overflow and the step reads as diverged.
+MAX_LEARNING_RATE = 1e6
+# Multi-similarity weights exp(alpha |s - lambda|) with |s - lambda| < 2 stay
+# finite, summed over up to MAX_BATCH_SIZE terms, while alpha, beta <= 350.
+MAX_MS_SCALE = 350.0
+SPEC_INTEGERS = ("num_classes", "samples_per_class", "dimension", "seed")
 
 
 @dataclass(frozen=True)
@@ -248,8 +264,13 @@ def _load_experiment_config(path):
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"experiment config must be a JSON object, got {type(payload).__name__}")
+    spec_fields = payload.get("spec", {})
+    if not isinstance(spec_fields, dict):
+        raise ConfigError(f"spec must be a JSON object, got {spec_fields!r}")
+    spec_fields = {key: _config_int(value, f"spec.{key}") if key in SPEC_INTEGERS else value
+                   for key, value in spec_fields.items()}
     try:
-        spec = SyntheticSpec(**payload.get("spec", {}))
+        spec = SyntheticSpec(**spec_fields)
         if spec.num_classes < 2:
             raise ValueError(f"spec needs at least 2 classes, got {spec.num_classes}")
         losses = payload["losses"]
@@ -270,10 +291,19 @@ def _load_experiment_config(path):
     unknown = [name for name in losses if name not in LOSS_REGISTRY]
     if unknown:
         raise ConfigError(f"unknown losses {unknown}; available: {sorted(LOSS_REGISTRY)}")
-    if steps < 0:
-        raise ConfigError("steps must be nonnegative")
-    if not (math.isfinite(lr) and lr > 0.0):
-        raise ConfigError(f"learning_rate must be positive and finite, got {lr}")
+    if spec.seed < 0:
+        raise ConfigError(f"spec.seed must be nonnegative, got {spec.seed}")
+    if spec.num_classes * spec.samples_per_class > MAX_BATCH_SIZE:
+        raise ConfigError(f"spec holds {spec.num_classes * spec.samples_per_class} samples; "
+                          f"at most {MAX_BATCH_SIZE} are supported")
+    if spec.dimension > MAX_DIMENSION:
+        raise ConfigError(f"spec.dimension must be at most {MAX_DIMENSION}, got {spec.dimension}")
+    if not 0 <= steps <= MAX_STEPS:
+        raise ConfigError(f"steps must lie in [0, {MAX_STEPS}], got {steps}")
+    if not (math.isfinite(lr) and 0.0 < lr <= MAX_LEARNING_RATE):
+        raise ConfigError(f"learning_rate must lie in (0, {MAX_LEARNING_RATE:g}], got {lr}")
+    if max(config.ms_alpha, config.ms_beta) > MAX_MS_SCALE:
+        raise ConfigError(f"ms_alpha and ms_beta must be at most {MAX_MS_SCALE:g}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
     return spec, losses, config, steps, lr, seeds, variant
@@ -457,10 +487,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "sweep", 0) and not args.out_dir:
-            raise ParseError("--sweep requires --out-dir")
-        if not getattr(args, "resolution", 1.0) > 0.0:
-            raise ParseError(f"--resolution must be positive, got {args.resolution}")
+        if args.command == "oracle":
+            _check_oracle_args(args)
         return args.func(args)
     except INPUT_ERRORS as exc:
         _error_payload(exc)
@@ -468,6 +496,20 @@ def main(argv=None) -> int:
     except HardNegError as exc:
         _error_payload(exc)
         return 1
+
+
+def _check_oracle_args(args) -> None:
+    """Reject bad oracle flags before any grid is built or file written."""
+    if args.sweep < 0:
+        raise ParseError(f"--sweep must be nonnegative, got {args.sweep}")
+    if args.sweep and not args.out_dir:
+        raise ParseError("--sweep requires --out-dir")
+    if args.sweep and args.seed < 0:
+        raise ParseError(f"--seed of a sweep must be nonnegative, got {args.seed}")
+    try:
+        check_resolution(args.resolution)
+    except ValueError as exc:
+        raise ParseError(f"--resolution: {exc}") from exc
 
 
 def _error_payload(exc) -> None:

@@ -13,6 +13,7 @@ are supported).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -36,8 +37,11 @@ class LossConfig:
 
     def __post_init__(self):
         for name in ("margin", "ms_epsilon", "ms_margin", "ms_alpha", "ms_beta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.ms_alpha <= 0 or self.ms_beta <= 0:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hardneg.cli import main
+from hardneg.gradients import LOSS_REGISTRY
 
 
 def run_cli(capsys, *argv):
@@ -211,13 +213,25 @@ def test_oracle_zero_resolution_is_input_error(tmp_path, capsys):
     instance = write_instance(
         tmp_path / "inst.json", ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0])
     )
-    for argv in (
-        ("oracle", str(instance), "--resolution", "0"),
-        ("oracle", "--sweep", "2", "--resolution", "0", "--out-dir", str(tmp_path / "s")),
-    ):
-        code, out = run_cli(capsys, *argv)
+    out_dir = tmp_path / "s"
+    for resolution in ("0", "inf", "-inf", "nan", "1e-300"):
+        for argv in (
+            ("oracle", str(instance), f"--resolution={resolution}", "--out-dir", str(out_dir)),
+            ("oracle", "--sweep", "2", f"--resolution={resolution}", "--out-dir", str(out_dir)),
+        ):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            assert json.loads(out)["error"] == "ParseError"
+            assert not out_dir.exists()
+
+
+def test_oracle_bad_sweep_is_input_error(tmp_path, capsys):
+    out_dir = tmp_path / "s"
+    for argv in (("--sweep", "-3"), ("--sweep", "2", "--seed", "-1")):
+        code, out = run_cli(capsys, "oracle", *argv, "--out-dir", str(out_dir))
         assert code == 2
         assert json.loads(out)["error"] == "ParseError"
+        assert not out_dir.exists()
 
 
 def test_experiment_unknown_variant(tmp_path, capsys):
@@ -334,6 +348,27 @@ def test_experiment_non_finite_concentration(tmp_path, capsys):
         _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
 
 
+def test_experiment_rejects_bad_fields_before_the_manifest(tmp_path, capsys):
+    # Most of these used to write the manifest and then raise a traceback, run
+    # without end (huge steps) or exit 1 on a diverged step (huge rate or MS
+    # scale); a bool margin and an MS beta of 400 are rejected by the same checks.
+    spec_values = {
+        "num_classes": (1e20, 2.5, "3", float("nan"), [4], 2**63, 3000),
+        "samples_per_class": (1e20, 4.5, 10**30),
+        "dimension": (1e300, float("inf"), 10**30, 5000),
+        "seed": (-1, "0"),
+    }
+    config_values = [("ms_epsilon", [[0]]), ("ms_alpha", 1e20), ("ms_beta", 1e20),
+                     ("margin", True), ("ms_beta", 400.0)]
+    payloads = [{"spec": dict(SMALL_SPEC, **{key: value})}
+                for key, values in spec_values.items() for value in values]
+    payloads += [{"loss_config": {key: value}} for key, value in config_values]
+    payloads += [{"learning_rate": 1e300}, {"steps": 1e300}, {"steps": 10**30}]
+    for fields in payloads:
+        _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["ms"], "steps": 1,
+                                             **fields})
+
+
 # Fuzzing the commands that solve one instance. Each field of an instance is
 # either a well-formed vector or one of the malformed values below; a call
 # must exit 0 with finite results, or 2 with a JSON error, and never raise.
@@ -417,3 +452,64 @@ def test_fuzz_instance_commands(tmp_path, payload):
             assert set(error) == {"error", "message"}
         else:
             _check_solved(argv[0], out)
+
+
+# Fuzzing `experiment`. A tiny config (at most 2 steps) has each field kept,
+# dropped or replaced by a random JSON value; a call must exit 0, or 2 with a
+# JSON error and no manifest, and never raise.
+_TINY_SPEC = {"num_classes": 3, "samples_per_class": 2, "dimension": 4,
+              "concentration": 2.5, "seed": 0}
+_TINY_LOSS_CONFIG = {"margin": 0.2, "ms_epsilon": 0.1, "ms_margin": 0.5, "ms_alpha": 2.0,
+                     "ms_beta": 50.0, "normalization": "terms"}
+_JSON_VALUES = (
+    st.text(max_size=4) | st.booleans() | st.none()
+    | st.recursive(st.integers(-3, 3) | st.text(max_size=2), st.lists, max_leaves=4)
+    | st.sampled_from([1e300, -1e300, 1e20, 2**63, 10**30, -(10**30)])
+    | st.integers(-5, -1) | st.floats(-10.0, -1e-6)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+def _fuzz_fields(draw, base):
+    fields = {}
+    for key, value in base.items():
+        kind = draw(st.sampled_from(("keep",) * 6 + ("drop", "replace")))
+        if kind == "keep":
+            fields[key] = value
+        elif kind == "replace":
+            fields[key] = draw(_JSON_VALUES)
+    return fields
+
+
+@st.composite
+def experiment_configs(draw):
+    base = {
+        "spec": _fuzz_fields(draw, _TINY_SPEC),
+        "losses": draw(st.lists(st.sampled_from(sorted(LOSS_REGISTRY)), min_size=1,
+                                max_size=2)),
+        "loss_config": _fuzz_fields(draw, _TINY_LOSS_CONFIG),
+        "steps": draw(st.integers(0, 2)),
+        "learning_rate": 0.05,
+        "seeds": draw(st.sampled_from([[0], [1], [0, 1]])),
+        "variant": draw(st.sampled_from(("arc", "segment"))),
+    }
+    return _fuzz_fields(draw, base)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(payload=experiment_configs())
+def test_fuzz_experiment_command(tmp_path_factory, payload):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config, out_dir = tmp / "config.json", tmp / "out"
+    config.write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        code = main(["experiment", str(config), "--out-dir", str(out_dir)])
+    out = buf.getvalue()
+    assert code in (0, 2), (payload, out)
+    if code == 2:
+        assert set(json.loads(out)) == {"error", "message"}
+        assert not (out_dir / "manifest.json").exists()
+    else:
+        summary = json.loads(out)
+        assert all(math.isfinite(run["final_loss"]) for run in summary["runs"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,8 +70,33 @@ def test_evaluation_count_and_endpoints():
 
 def test_rejects_bad_resolution():
     problem = ArcProblem.from_endpoints([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0])
-    with pytest.raises(ValueError):
-        grid_min_arc(problem, 0.0)
+    segment = SegmentProblem.from_endpoints([0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0])
+    for resolution in (0.0, -1e-3, math.inf, -math.inf, math.nan, 1e-300):
+        with pytest.raises(ValueError):
+            grid_min_arc(problem, resolution)
+        with pytest.raises(ValueError):
+            grid_min_segment(segment, resolution)
+
+
+def _traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_scan_allocates_little(rng):
+    # A 1e-3 arc grid spans up to 3,142 x 3,142 cells (80 MB per full-grid
+    # temporary); the slabs keep every call's temporaries to about 256 KB.
+    points = rng.normal(size=(4, 64))
+    arc = ArcProblem.from_endpoints(*(points / np.linalg.norm(points, axis=1, keepdims=True)))
+    segment = SegmentProblem.from_endpoints(*points)
+    budget = 2 * 2**20
+    assert _traced_peak(grid_min_arc, arc, 1e-3) < budget
+    assert _traced_peak(grid_min_segment, segment, 1e-3) < budget
+    assert _traced_peak(grid_min_arc, arc, 5e-3, explicit=True) < budget
 
 
 def test_collapsed_arc_grid_is_one_dimensional():

@@ -11,23 +11,32 @@ winners picked through a per-slot multiplier array. The array forms must
 agree with them exactly. The adjoint-block reference forms every dot of
 the unit difference from each row's local Gram matrix; the closed form
 reorders the arithmetic, so it must agree to 1e-13 of the largest block
-entry.
+entry. The grid-oracle reference scans each grid in slabs of 4,096 rows
+with freshly allocated temporaries; the cache-sized slabs written in place
+must give every GridResult field bit for bit, ties included.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from hardneg import (
+    ArcProblem,
     LabeledBatch,
     OddClassCount,
     SyntheticSpec,
     build_pairs,
+    SegmentProblem,
     generate_synthetic,
     gradients,
     optimal_distance_table,
+    oracle,
     vectorized,
 )
 from hardneg.errors import DegenerateSegment
+from hardneg.geometry import point_on_arc
+from hardneg.oracle import GridResult
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
 from hardneg.vectorized import (
     CASE_BOUNDS,
@@ -697,3 +706,184 @@ def test_optimal_distance_grad_stack_matches_reference_on_row_subset(shape):
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
         emb = batch.embeddings
         assert np.max(np.abs(new @ emb - ref @ emb)) <= 1e-13 * np.max(np.abs(ref @ emb))
+
+
+# -- grid oracle -----------------------------------------------------------
+
+_CHUNK = 4096
+
+DEFAULT_RESOLUTION = 1e-3
+
+
+def _axis(extent: float, resolution: float) -> np.ndarray:
+    """Grid 0, r, 2r, ... capped at extent, with the endpoint appended.
+
+    Multiples of the step are exact floats, so halving the resolution
+    yields a superset of the points and refinement is monotone by
+    construction.
+    """
+    if extent <= 0.0:
+        return np.zeros(1)
+    points = np.arange(int(np.floor(extent / resolution)) + 1) * resolution
+    if points[-1] >= extent:
+        points[-1] = extent
+    else:
+        points = np.append(points, extent)
+    return points
+
+
+def _scan_min(rows_fn, n_rows: int, n_cols: int):
+    """Row-chunked minimum of a matrix of squared distances.
+
+    rows_fn(i0, i1) returns the squared-distance block for rows [i0, i1).
+    Returns (flat row, col, min value) of the first minimal cell.
+    """
+    best = np.inf
+    best_rc = (0, 0)
+    for i0 in range(0, n_rows, _CHUNK):
+        i1 = min(i0 + _CHUNK, n_rows)
+        block = rows_fn(i0, i1)
+        flat = int(np.argmin(block))
+        val = float(block.flat[flat])
+        if val < best:
+            best = val
+            best_rc = (i0 + flat // n_cols, flat % n_cols)
+    return best_rc, best
+
+
+def grid_min_arc(
+    problem: ArcProblem, resolution: float = DEFAULT_RESOLUTION, explicit: bool = False
+) -> GridResult:
+    """Grid minimum of the chord distance over [0, alpha0] x [0, beta0]."""
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    alphas = _axis(problem.alpha0, resolution)
+    betas = _axis(problem.beta0, resolution)
+    if explicit:
+        points_x = np.stack([point_on_arc(problem.basis_x, a) for a in alphas])
+        points_y = np.stack([point_on_arc(problem.basis_y, b) for b in betas])
+
+        def rows_fn(i0, i1):
+            diff = points_x[i0:i1, None, :] - points_y[None, :, :]
+            return np.sum(diff * diff, axis=2)
+
+    else:
+        n1, n2 = problem.basis_x.n1, problem.basis_x.n2
+        n3, n4 = problem.basis_y.n1, problem.basis_y.n2
+        g13, g23 = float(n1 @ n3), float(n2 @ n3)
+        g14, g24 = float(n1 @ n4), float(n2 @ n4)
+        cos_a, sin_a = np.cos(alphas), np.sin(alphas)
+        cos_b, sin_b = np.cos(betas), np.sin(betas)
+        # p1.p2 = u1(alpha) cos(beta) + u2(alpha) sin(beta)
+        u1 = cos_a * g13 + sin_a * g23
+        u2 = cos_a * g14 + sin_a * g24
+
+        def rows_fn(i0, i1):
+            dots = u1[i0:i1, None] * cos_b[None, :] + u2[i0:i1, None] * sin_b[None, :]
+            return 2.0 - 2.0 * dots
+
+    (ia, ib), d2 = _scan_min(rows_fn, len(alphas), len(betas))
+    return GridResult(
+        best_params=(float(alphas[ia]), float(betas[ib])),
+        best_distance=float(np.sqrt(max(d2, 0.0))),
+        resolution=resolution,
+        evaluations=len(alphas) * len(betas),
+    )
+
+
+def grid_min_segment(
+    problem: SegmentProblem,
+    resolution: float = DEFAULT_RESOLUTION,
+    explicit: bool = False,
+) -> GridResult:
+    """Grid minimum of |p1 - p2| over (k1, k2) in [0, 1]^2."""
+    if resolution <= 0:
+        raise ValueError("resolution must be positive")
+    k1s = _axis(1.0, resolution)
+    k2s = _axis(1.0, resolution)
+    if explicit:
+        points_x = problem.x1[None, :] + np.outer(k1s, problem.x2 - problem.x1)
+        points_y = problem.y1[None, :] + np.outer(k2s, problem.y2 - problem.y1)
+
+        def rows_fn(i0, i1):
+            diff = points_x[i0:i1, None, :] - points_y[None, :, :]
+            return np.sum(diff * diff, axis=2)
+
+    else:
+        u, v, w = problem.u, problem.v, problem.w
+        uu, vv, uv = float(u @ u), float(v @ v), float(u @ v)
+        uw, vw, ww = float(u @ w), float(v @ w), float(w @ w)
+        # |w - k1 u + k2 v|^2 split into row, column, and cross terms
+        row = ww + k1s * k1s * uu - 2.0 * k1s * uw
+        col = k2s * k2s * vv + 2.0 * k2s * vw
+        cross = -2.0 * uv
+
+        def rows_fn(i0, i1):
+            return (
+                row[i0:i1, None]
+                + col[None, :]
+                + cross * k1s[i0:i1, None] * k2s[None, :]
+            )
+
+    (i1_, i2_), d2 = _scan_min(rows_fn, len(k1s), len(k2s))
+    return GridResult(
+        best_params=(float(k1s[i1_]), float(k2s[i2_])),
+        best_distance=float(np.sqrt(max(d2, 0.0))),
+        resolution=resolution,
+        evaluations=len(k1s) * len(k2s),
+    )
+
+
+def assert_grids_match(points, resolution, explicit=False):
+    """Both variants of one instance give the reference's GridResult, field for field."""
+    arc = ArcProblem.from_endpoints(*unit(points))
+    segment = SegmentProblem.from_endpoints(*points)
+    for new, ref in ((oracle.grid_min_arc, grid_min_arc),
+                     (oracle.grid_min_segment, grid_min_segment)):
+        problem = arc if new is oracle.grid_min_arc else segment
+        got = dataclasses.astuple(new(problem, resolution, explicit=explicit))
+        assert got == dataclasses.astuple(ref(problem, resolution, explicit=explicit))
+
+
+# Each resolution leaves a partial last slab on the segment grid, whose axes
+# hold 1,001, 1,371 and 324 points (slabs of 32, 23 and 101 rows).
+@pytest.mark.parametrize("resolution", [1e-3, 7.3e-4, 3.1e-3])
+@pytest.mark.parametrize("dim", [2, 3, 8, 64, 512])
+def test_grid_oracle_matches_reference(dim, resolution):
+    rng = np.random.default_rng(dim)
+    for _ in range(3):
+        assert_grids_match(rng.normal(size=(4, dim)), resolution)
+
+
+def test_grid_oracle_matches_reference_on_degenerate_instances():
+    rng = np.random.default_rng(11)
+    for dim in (3, 8, 64):
+        x1, x2, y1, y2 = rng.normal(size=(4, dim))
+        instances = {
+            "collapsed x": (x1, x1, y1, y2),
+            "both collapsed": (x1, x1, y1, y1),
+            "shared endpoint": (x1, x2, x1, y2),
+            "identical": (x1, x2, x1, x2),
+            "reversed": (x1, x2, x2, x1),
+            "parallel": (x1, x2, x1 + y1, x2 + y1),
+        }
+        for points in instances.values():
+            assert_grids_match(np.stack(points), 1e-3)
+
+
+def test_grid_oracle_constant_surface_ties_span_slabs():
+    # Every cell of the orthogonal-span grid is exactly 2, so the first cell
+    # of the first slab must beat the equal cells of the later slabs.
+    e = np.eye(4)
+    problem = ArcProblem.from_endpoints(e[0], e[1], e[2], e[3])
+    result = oracle.grid_min_arc(problem, 1e-3)
+    assert dataclasses.astuple(result) == dataclasses.astuple(grid_min_arc(problem, 1e-3))
+    assert result.best_params == (0.0, 0.0)
+    assert result.evaluations > 32 * oracle._SLAB_CELLS
+
+
+@pytest.mark.parametrize("dim", [3, 64, 512])
+def test_explicit_grid_oracle_matches_reference(dim):
+    rng = np.random.default_rng(dim + 1)
+    for _ in range(2):
+        assert_grids_match(rng.normal(size=(4, dim)), 2e-2, explicit=True)
