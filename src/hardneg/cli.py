@@ -69,9 +69,6 @@ MAX_STEPS = 10**6
 # A rate this large already replaces each row by its normalized gradient;
 # near 1e150 the squared row norms overflow and the step reads as diverged.
 MAX_LEARNING_RATE = 1e6
-# Multi-similarity weights exp(alpha |s - lambda|) with |s - lambda| < 2 stay
-# finite, summed over up to MAX_BATCH_SIZE terms, while alpha, beta <= 350.
-MAX_MS_SCALE = 350.0
 SPEC_INTEGERS = ("num_classes", "samples_per_class", "dimension", "seed")
 
 
@@ -302,8 +299,6 @@ def _load_experiment_config(path):
         raise ConfigError(f"steps must lie in [0, {MAX_STEPS}], got {steps}")
     if not (math.isfinite(lr) and 0.0 < lr <= MAX_LEARNING_RATE):
         raise ConfigError(f"learning_rate must lie in (0, {MAX_LEARNING_RATE:g}], got {lr}")
-    if max(config.ms_alpha, config.ms_beta) > MAX_MS_SCALE:
-        raise ConfigError(f"ms_alpha and ms_beta must be at most {MAX_MS_SCALE:g}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
     return spec, losses, config, steps, lr, seeds, variant

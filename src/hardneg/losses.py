@@ -24,6 +24,13 @@ from .batch_engine import LabeledBatch, OptimalDistanceTable, PairSet, build_pai
 from .errors import NoNegatives
 
 
+# Multi-similarity weights exp(alpha |s - lambda|), with |s - lambda| < 2 for
+# unit embeddings and lambda in (-1, 1), stay below exp(700) while alpha and
+# beta are at most 350, so a row's sum of them stays finite for batches of up
+# to about 17,000 samples.
+MAX_MS_SCALE = 350.0
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Margins and multi-similarity hyperparameters."""
@@ -46,6 +53,8 @@ class LossConfig:
             raise ValueError("margin must be nonnegative")
         if self.ms_alpha <= 0 or self.ms_beta <= 0:
             raise ValueError("ms_alpha and ms_beta must be positive")
+        if max(self.ms_alpha, self.ms_beta) > MAX_MS_SCALE:
+            raise ValueError(f"ms_alpha and ms_beta must be at most {MAX_MS_SCALE:g}")
         if not -1.0 < self.ms_margin < 1.0:
             raise ValueError("ms_margin must lie in (-1, 1)")
         if self.normalization not in ("terms", "classes"):

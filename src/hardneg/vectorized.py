@@ -38,11 +38,8 @@ from .geometry import DEGENERACY_EPS
 # conditions need a numeric cushion.
 EPS_LAMBDA = 1e-9
 EPS_BOX = 1e-9
-# Below this multiple of |(a, b, c, d)| a coefficient of the interior tan
-# quadratic is treated as zero and the degenerate closed forms apply. The
-# quadratic's coefficients are quadratic in (a, b, c, d), whose rounding
-# error is a few ulps of 1, so the bound scales with their norm: an arc
-# pair whose objective is nearly constant still gets its interior roots.
+# Below this magnitude the linear coefficient of the interior tan quadratic
+# is treated as zero and the degenerate closed forms apply.
 EPS_QUAD = 1e-12
 # A segment with endpoint gap at or below this collapses to a point.
 EPS_SEGMENT = 1e-12
@@ -200,9 +197,8 @@ def _arc_candidates(a, b, c, d, alpha0, beta0):
     # [0, pi), where the reduction mod pi leaves them as they are.
     lead = a * b + c * d
     big_a = a * a - b * b + c * c - d * d
-    tol = EPS_QUAD * np.sqrt(a * a + b * b + c * c + d * d)
-    generic = np.abs(lead) > tol
-    linear = ~generic & (np.abs(big_a) > tol)
+    generic = np.abs(lead) >= EPS_QUAD
+    linear = ~generic & (np.abs(big_a) >= EPS_QUAD)
     disc = np.hypot(big_a, 2.0 * lead)
     num = big_a + np.where(big_a >= 0.0, disc, -disc)
     safe_lead = np.where(generic, lead, 1.0)

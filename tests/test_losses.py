@@ -213,6 +213,14 @@ def test_ms_paper_default_scales():
     assert cfg.ms_beta == 50.0
 
 
+def test_ms_scales_are_bounded():
+    # Above 350 the weights exp(beta (s - lambda)) overflow to inf near s = 1.
+    assert LossConfig(ms_alpha=350.0, ms_beta=350.0).ms_beta == 350.0
+    for field in ("ms_alpha", "ms_beta"):
+        with pytest.raises(ValueError):
+            LossConfig(**{field: 351.0})
+
+
 def test_single_class_raises():
     batch = LabeledBatch.from_arrays(np.eye(4), np.zeros(4, dtype=int))
     with pytest.raises(NoNegatives):

@@ -314,10 +314,8 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     # Interior quadratic in tan(alpha); roots multiply to -1.
     lead = a * b + c * d
     big_a = a * a - b * b + c * c - d * d
-    # The degeneracy bound scales with |(a, b, c, d)| as in the array core.
-    tol = EPS_QUAD * np.sqrt(a * a + b * b + c * c + d * d)
-    generic = np.abs(lead) > tol
-    linear = ~generic & (np.abs(big_a) > tol)
+    generic = np.abs(lead) >= EPS_QUAD
+    linear = ~generic & (np.abs(big_a) >= EPS_QUAD)
     disc = np.hypot(big_a, 2.0 * lead)
     num = big_a + np.where(big_a >= 0.0, disc, -disc)
     safe_lead = np.where(generic, lead, 1.0)
@@ -533,9 +531,8 @@ def forced_branch_stacks(rng):
     next to random rows.
 
     Cross dots that vanish make lead = ab + cd zero up to rounding, below
-    EPS_QUAD |(a, b, c, d)|: with all four zero both interior branches
-    fail; with y1 = x1 or y1 = x2 and the rest orthogonal, the linear one
-    is taken. Random
+    EPS_QUAD: with all four zero both interior branches fail; with y1 = x1
+    or y1 = x2 and the rest orthogonal, the linear one is taken. Random
     rotations supply the rounding; random rows keep the generic branch in
     the same stacks.
     """
@@ -555,9 +552,8 @@ def test_arc_core_matches_reference_on_forced_branches():
     sol = vectorized._solve_arc_core(*row_dots(*stacks))
     a, b, c, d = sol.coeffs.T
     lead, big_a = a * b + c * d, a * a - b * b + c * c - d * d
-    tol = EPS_QUAD * np.linalg.norm(sol.coeffs, axis=1)
-    assert np.sum(np.abs(lead) <= tol) == 120
-    assert np.sum((np.abs(lead) <= tol) & (np.abs(big_a) > tol)) == 80
+    assert np.sum(np.abs(lead) < EPS_QUAD) == 120
+    assert np.sum((np.abs(lead) < EPS_QUAD) & (np.abs(big_a) >= EPS_QUAD)) == 80
     assert_arc_core_matches(*stacks)
 
 
