@@ -214,7 +214,8 @@ def test_ms_paper_default_scales():
 
 
 def test_ms_scales_are_bounded():
-    # Above 350 the weights exp(beta (s - lambda)) overflow to inf near s = 1.
+    # Above 350 the weights exp(beta (s - lambda)) can overflow: s - lambda
+    # approaches 2 as s nears 1 and lambda nears -1.
     assert LossConfig(ms_alpha=350.0, ms_beta=350.0).ms_beta == 350.0
     for field in ("ms_alpha", "ms_beta"):
         with pytest.raises(ValueError):
