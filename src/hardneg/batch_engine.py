@@ -18,6 +18,9 @@ from .errors import InvalidBatchShape, NoNegatives, OddClassCount
 # solve_arc_stack is re-exported: callers reach the row solver through this module.
 from .vectorized import solve_arc_gram, solve_arc_stack, solve_segment_stack  # noqa: F401
 
+# Table variants: negatives on the great-circle arc or on the chord segment of a pair.
+VARIANTS = ("arc", "segment")
+
 
 @dataclass
 class LabeledBatch:
@@ -163,7 +166,7 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     lexicographic pair order and minima keep the first minimising row, so
     the table is reproducible bit for bit for a given batch.
     """
-    if variant not in ("arc", "segment"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if batch.num_classes() < 2:
         raise NoNegatives("batch has a single class")

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .arc_solver import ArcProblem, optimal_arc_distance
+from .batch_engine import VARIANTS
 from .errors import (
     ConfigError,
     DegenerateArc,
@@ -56,7 +57,6 @@ INPUT_ERRORS = (
 )
 
 SWEEP_DIMS = (3, 8, 64, 512)
-VARIANTS = ("arc", "segment")
 
 # Bounds on an experiment config. A step holds (B, B) matrices and, for the
 # loop_ losses, a solver row for each of about B^2 / 8 combinations, so more

@@ -10,6 +10,10 @@ themselves are never formed. Each gradient is one (B, B) coefficient matrix
 times E; an arc row's 4x4 block of it comes in closed form from the solve's
 (a, b, c, d) and the winning angles, with no second pass over the dots.
 
+Each gradient reads the arrays its loss's value pass kept on the LossValue
+(distances, active hinge terms, mined samples, multi-similarity weights and
+the normalizer), so one loss step computes each of them once.
+
 Hinge subgradients at the kink are taken as 0 (terms contribute only when
 strictly positive).
 """
@@ -18,18 +22,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .batch_engine import LabeledBatch, build_pairs, optimal_distance_table
-from .losses import (  # noqa: F401  ms_mining and loop_ms_mining are re-exported
+# build_pairs, pairwise, ms_mining and loop_ms_mining are re-exported.
+from .batch_engine import VARIANTS, LabeledBatch, build_pairs, optimal_distance_table  # noqa: F401
+from .losses import (  # noqa: F401
     LossConfig,
-    hardest,
     loop_hphn,
     loop_ls,
     loop_ms,
     loop_ms_mining,
     loop_triplet,
-    ms_masks,
     ms_mining,
-    ms_weighting,
     pairwise,
 )
 from .losses import hphn_triplet as _hphn_loss
@@ -70,8 +72,9 @@ def arc_point_adjoints(
 
 
 def _square(n: int, rows, cols, values) -> np.ndarray:
-    """(n, n) matrix of the values summed at their (row, col) entries."""
-    flat = np.bincount(np.ravel(rows * n + cols), weights=np.ravel(values), minlength=n * n)
+    """(n, n) matrix of the values summed at their (row, col) entries, broadcast to the values."""
+    index = np.broadcast_to(rows * n + cols, np.shape(values))
+    flat = np.bincount(index.ravel(), weights=np.ravel(values), minlength=n * n)
     return flat.reshape(n, n)
 
 
@@ -173,135 +176,95 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     return blocks
 
 
-def _norm_factor(batch, config, n_terms):
-    if config.normalization == "classes":
-        return batch.num_classes()
-    return max(n_terms, 1)
+def _hinge_step(loss, batch: LabeledBatch, table=None):
+    """(loss, gradient) of a hinge loss from the arrays its value pass kept.
+
+    Every active term adds its positive distance and subtracts its negative
+    one: a mined sample's distance or, with a table, its row's optimal
+    distance.
+    """
+    emb, n, active = batch.embeddings, batch.batch_size, loss.active
+    weights, m = _square(n, *loss.positive, active), None
+    if table is None:
+        weights -= _square(n, *loss.negative, active)
+    else:
+        rows = np.bincount(loss.negative[active], minlength=len(table.combos))
+        m = optimal_distance_grad_stack(n, table.combos, table.solution, rows)
+    return loss, chord_grad(emb, loss.dist, weights, m) / loss.norm
+
+
+def _ms_step(loss, batch: LabeledBatch):
+    """(loss, gradient) of multi-similarity: W E + W^T E, the mined sets frozen."""
+    emb = batch.embeddings
+    return loss, (loss.weights @ emb + loss.weights.T @ emb) / loss.norm
 
 
 def triplet_grad(batch: LabeledBatch, config: LossConfig):
-    """(loss, gradient) of the plain triplet loss."""
-    loss = _triplet_loss(batch, config)
-    dist, _ = pairwise(batch)
-    labels = batch.labels
-    pairs = build_pairs(batch)
-    i_idx, j_idx = pairs.idx1, pairs.idx2
-    neg_mask = labels[i_idx][:, None] != labels[None, :]
-    d_pos = dist[i_idx, j_idx]
-    active = neg_mask & (d_pos[:, None] - dist[i_idx, :] + config.margin > 0.0)
-    # Each active (pair, negative) term adds d(i, j) - d(i, k).
-    weights = np.zeros_like(dist)
-    weights[i_idx] = -active.astype(float)
-    weights[i_idx, j_idx] = active.sum(axis=1)
-    grad = chord_grad(batch.embeddings, dist, weights)
-    return loss, grad / _norm_factor(batch, config, int(neg_mask.sum()))
+    return _hinge_step(_triplet_loss(batch, config), batch)
 
 
 def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
-    """(loss, gradient) of the optimal-negative triplet loss."""
-    loss = loop_triplet(batch, table, config)
-    dist, _ = pairwise(batch)
-    emb = batch.embeddings
-    combos = table.combos
-    # Both sides of every combination play the positive pair once.
-    heads, tails = combos[:, [0, 2]], combos[:, [1, 3]]
-    active = dist[heads, tails] - table.distances[:, None] + config.margin > 0.0
-    m = optimal_distance_grad_stack(len(emb), combos, table.solution, active.sum(axis=1))
-    grad = chord_grad(emb, dist, _square(len(emb), heads, tails, active), m)
-    return loss, grad / _norm_factor(batch, config, 2 * len(combos))
-
-
-def _pair_loss_grad(batch, config, table, positive_is_distance):
-    """Shared gradient for HPHN (hardest positive) and LS (pair distance).
-
-    Without a table the hardest negative is mined from the batch; with one
-    it is each pair's nearest optimal distance. Each active pair adds its
-    positive distance and subtracts its mined negative distance.
-    """
-    dist, _ = pairwise(batch)
-    emb = batch.embeddings
-    pairs = build_pairs(batch)
-    if positive_is_distance:
-        hp, hp_a, hp_b = dist[pairs.idx1, pairs.idx2], pairs.idx1, pairs.idx2
-    else:
-        hp, hp_a, hp_b = hardest(dist, batch.labels, pairs, positive=True)
-    if table is None:
-        hn, hn_a, hn_b = hardest(dist, batch.labels, pairs, positive=False)
-    else:
-        hn = table.pair_min
-    active = hp + config.margin - hn > 0.0
-    weights, m = _square(len(emb), hp_a, hp_b, active), None
-    if table is None:
-        weights -= _square(len(emb), hn_a, hn_b, active)
-    else:
-        nearest = np.bincount(table.nearest[active], minlength=len(table.combos))
-        m = optimal_distance_grad_stack(len(emb), table.combos, table.solution, nearest)
-    return chord_grad(emb, dist, weights, m) / _norm_factor(batch, config, len(pairs))
+    return _hinge_step(loop_triplet(batch, table, config), batch, table)
 
 
 def hphn_grad(batch: LabeledBatch, config: LossConfig):
-    loss = _hphn_loss(batch, config)
-    return loss, _pair_loss_grad(batch, config, None, False)
+    return _hinge_step(_hphn_loss(batch, config), batch)
 
 
 def loop_hphn_grad(batch: LabeledBatch, table, config: LossConfig):
-    loss = loop_hphn(batch, table, config)
-    return loss, _pair_loss_grad(batch, config, table, False)
+    return _hinge_step(loop_hphn(batch, table, config), batch, table)
 
 
 def ls_grad(batch: LabeledBatch, config: LossConfig):
-    loss = _ls_loss(batch, config)
-    return loss, _pair_loss_grad(batch, config, None, True)
+    return _hinge_step(_ls_loss(batch, config), batch)
 
 
 def loop_ls_grad(batch: LabeledBatch, table, config: LossConfig):
-    loss = loop_ls(batch, table, config)
-    return loss, _pair_loss_grad(batch, config, table, True)
-
-
-def _ms_grad(batch, config, table=None):
-    """Weighting-stage gradient W E + W^T E; the mined sets are frozen."""
-    _, sim = pairwise(batch)
-    _, weights = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
-    emb = batch.embeddings
-    return (weights @ emb + weights.T @ emb) / _norm_factor(batch, config, batch.batch_size)
+    return _hinge_step(loop_ls(batch, table, config), batch, table)
 
 
 def ms_grad(batch: LabeledBatch, config: LossConfig):
-    return _ms_loss(batch, config), _ms_grad(batch, config)
+    return _ms_step(_ms_loss(batch, config), batch)
 
 
 def loop_ms_grad(batch: LabeledBatch, table, config: LossConfig):
-    return loop_ms(batch, table, config), _ms_grad(batch, config, table)
+    return _ms_step(loop_ms(batch, table, config), batch)
 
 
-# Losses available to the trainer: name -> (needs table, function).
+# Losses available to the trainer: name -> (needs table, value, (value, gradient)).
 LOSS_REGISTRY = {
-    "triplet": (False, triplet_grad),
-    "loop_triplet": (True, loop_triplet_grad),
-    "hphn_triplet": (False, hphn_grad),
-    "loop_hphn": (True, loop_hphn_grad),
-    "lifted_structure": (False, ls_grad),
-    "loop_ls": (True, loop_ls_grad),
-    "ms": (False, ms_grad),
-    "loop_ms": (True, loop_ms_grad),
+    "triplet": (False, _triplet_loss, triplet_grad),
+    "loop_triplet": (True, loop_triplet, loop_triplet_grad),
+    "hphn_triplet": (False, _hphn_loss, hphn_grad),
+    "loop_hphn": (True, loop_hphn, loop_hphn_grad),
+    "lifted_structure": (False, _ls_loss, ls_grad),
+    "loop_ls": (True, loop_ls, loop_ls_grad),
+    "ms": (False, _ms_loss, ms_grad),
+    "loop_ms": (True, loop_ms, loop_ms_grad),
 }
+
+
+def _lookup(name: str, batch: LabeledBatch, variant: str):
+    """A loss's value and gradient functions and their leading arguments."""
+    if name not in LOSS_REGISTRY:
+        raise ValueError(f"unknown loss {name!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    needs_table, value_fn, grad_fn = LOSS_REGISTRY[name]
+    args = (batch, optimal_distance_table(batch, variant=variant)) if needs_table else (batch,)
+    return value_fn, grad_fn, args
 
 
 def loss_and_grad(name: str, batch: LabeledBatch, config: LossConfig, variant="arc"):
     """Evaluate a loss by name, returning (LossValue, gradient)."""
-    if name not in LOSS_REGISTRY:
-        raise ValueError(f"unknown loss {name!r}")
-    needs_table, fn = LOSS_REGISTRY[name]
-    if needs_table:
-        table = optimal_distance_table(batch, variant=variant)
-        return fn(batch, table, config)
-    return fn(batch, config)
+    _, grad_fn, args = _lookup(name, batch, variant)
+    return grad_fn(*args, config)
 
 
 def evaluate_loss(name: str, batch: LabeledBatch, config: LossConfig, variant="arc") -> float:
     """Loss value only; used by the finite-difference oracle."""
-    return loss_and_grad(name, batch, config, variant)[0].total
+    value_fn, _, args = _lookup(name, batch, variant)
+    return value_fn(*args, config).total
 
 
 def project_tangent(embeddings: np.ndarray, grads: np.ndarray) -> np.ndarray:

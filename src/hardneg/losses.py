@@ -67,11 +67,23 @@ class LossValue:
 
     terms holds the contributions in term order; per_term pairs them with
     their keys, built by calling keys(), and is only formed when read.
+
+    The other fields keep what the gradient needs from the value pass: the
+    (B, B) distances dist, the divisor norm of the total, the strictly
+    positive hinge terms active (shaped like the terms before masking), the
+    (anchors, samples) of each term's positive and negative distance, or
+    for an optimal negative its table row, and the multi-similarity weights.
     """
 
     total: float
     terms: np.ndarray = field(repr=False, compare=False)
     keys: Callable = field(repr=False, compare=False)
+    dist: np.ndarray | None = field(default=None, repr=False, compare=False)
+    norm: int = field(default=1, repr=False, compare=False)
+    active: np.ndarray | None = field(default=None, repr=False, compare=False)
+    positive: tuple | None = field(default=None, repr=False, compare=False)
+    negative: tuple | None = field(default=None, repr=False, compare=False)
+    weights: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def per_term(self) -> tuple:
@@ -80,11 +92,15 @@ class LossValue:
 
 def pairwise(batch: LabeledBatch):
     """Distance and similarity matrices d and s = 1 - d^2 / 2."""
-    gram = batch.embeddings @ batch.embeddings.T
-    d_sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
+    # In place; 2 + (-2 g) and -d^2 / 2 + 1 round exactly as 2 - 2 g and 1 - d^2 / 2.
+    d_sq = batch.embeddings @ batch.embeddings.T
+    d_sq *= -2.0
+    d_sq += 2.0
+    np.maximum(d_sq, 0.0, out=d_sq)
     np.fill_diagonal(d_sq, 0.0)
     dist = np.sqrt(d_sq)
-    sim = 1.0 - d_sq / 2.0
+    sim = d_sq * -0.5
+    sim += 1.0
     return dist, sim
 
 
@@ -97,18 +113,19 @@ def _require_negatives(batch: LabeledBatch) -> None:
         raise NoNegatives("batch has a single class")
 
 
-def _finish(terms, keys, batch: LabeledBatch, config: LossConfig) -> LossValue:
+def _finish(terms, keys, batch: LabeledBatch, config: LossConfig, **kept) -> LossValue:
     if config.normalization == "classes":
         norm = batch.num_classes()
     else:
         norm = max(len(terms), 1)
-    return LossValue(total=float(np.sum(terms) / norm), terms=terms, keys=keys)
+    return LossValue(total=float(np.sum(terms) / norm), terms=terms, keys=keys, norm=norm,
+                     **kept)
 
 
-def _pair_terms(values, pairs: PairSet, batch, config) -> LossValue:
+def _pair_terms(values, pairs: PairSet, batch, config, **kept) -> LossValue:
     """One hinge term per positive pair, keyed (i, j)."""
     return _finish(hinge(values), lambda: zip(pairs.idx1.tolist(), pairs.idx2.tolist()),
-                   batch, config)
+                   batch, config, active=values > 0.0, **kept)
 
 
 def triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -121,7 +138,9 @@ def triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
     values = dist[i, j][:, None] - dist[i] + config.margin
     rows, k = np.nonzero(negative)
     return _finish(hinge(values[negative]),
-                   lambda: zip(i[rows].tolist(), j[rows].tolist(), k.tolist()), batch, config)
+                   lambda: zip(i[rows].tolist(), j[rows].tolist(), k.tolist()), batch, config,
+                   dist=dist, active=negative & (values > 0.0), positive=(i[:, None], j[:, None]),
+                   negative=(i[:, None], np.arange(batch.batch_size)))
 
 
 def loop_triplet(
@@ -134,16 +153,17 @@ def loop_triplet(
     """
     _require_negatives(batch)
     dist, _ = pairwise(batch)
-    i, j, k, l = table.combos.T
-    d_opt = table.distances
-    values = np.stack([dist[i, j] - d_opt, dist[k, l] - d_opt], axis=1) + config.margin
+    heads, tails = table.combos[:, [0, 2]], table.combos[:, [1, 3]]
+    values = dist[heads, tails] - table.distances[:, None] + config.margin
 
     def keys():
         for a, b, c, d in table.combos.tolist():
             yield ((a, b), (c, d))
             yield ((c, d), (a, b))
 
-    return _finish(hinge(values.ravel()), keys, batch, config)
+    rows = np.repeat(np.arange(len(values)), 2).reshape(values.shape)  # each side's own row
+    return _finish(hinge(values.ravel()), keys, batch, config,
+                   dist=dist, active=values > 0.0, positive=(heads, tails), negative=rows)
 
 
 def hardest(dist, labels, pairs: PairSet, positive: bool):
@@ -174,9 +194,10 @@ def hphn_triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
     _require_negatives(batch)
     dist, _ = pairwise(batch)
     pairs = build_pairs(batch)
-    hp = hardest(dist, batch.labels, pairs, positive=True)[0]
-    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
-    return _pair_terms(hp + config.margin - hn, pairs, batch, config)
+    hp = hardest(dist, batch.labels, pairs, positive=True)
+    hn = hardest(dist, batch.labels, pairs, positive=False)
+    return _pair_terms(hp[0] + config.margin - hn[0], pairs, batch, config,
+                       dist=dist, positive=hp[1:], negative=hn[1:])
 
 
 def loop_hphn(
@@ -185,8 +206,9 @@ def loop_hphn(
     """HPHN with the mined negative replaced by the per-pair optimal minimum."""
     _require_negatives(batch)
     dist, _ = pairwise(batch)
-    hp = hardest(dist, batch.labels, table.pairs, positive=True)[0]
-    return _pair_terms(hp + config.margin - table.pair_min, table.pairs, batch, config)
+    hp = hardest(dist, batch.labels, table.pairs, positive=True)
+    return _pair_terms(hp[0] + config.margin - table.pair_min, table.pairs, batch, config,
+                       dist=dist, positive=hp[1:], negative=table.nearest)
 
 
 def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -194,8 +216,9 @@ def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
     _require_negatives(batch)
     dist, _ = pairwise(batch)
     pairs = build_pairs(batch)
-    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
-    return _pair_terms(dist[pairs.idx1, pairs.idx2] + config.margin - hn, pairs, batch, config)
+    hn = hardest(dist, batch.labels, pairs, positive=False)
+    return _pair_terms(dist[pairs.idx1, pairs.idx2] + config.margin - hn[0], pairs, batch, config,
+                       dist=dist, positive=(pairs.idx1, pairs.idx2), negative=hn[1:])
 
 
 def loop_ls(
@@ -206,7 +229,8 @@ def loop_ls(
     dist, _ = pairwise(batch)
     pairs = table.pairs
     d_pos = dist[pairs.idx1, pairs.idx2]
-    return _pair_terms(d_pos + config.margin - table.pair_min, pairs, batch, config)
+    return _pair_terms(d_pos + config.margin - table.pair_min, pairs, batch, config,
+                       dist=dist, positive=(pairs.idx1, pairs.idx2), negative=table.nearest)
 
 
 def ms_masks(labels, sim, config: LossConfig, table: OptimalDistanceTable | None = None):
@@ -278,8 +302,8 @@ def ms_weighting(sim, positives, negatives, config: LossConfig):
 def _ms_value(batch, config, table=None) -> LossValue:
     _require_negatives(batch)
     _, sim = pairwise(batch)
-    terms, _ = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
-    return _finish(terms, lambda: range(len(terms)), batch, config)
+    terms, weights = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
+    return _finish(terms, lambda: range(len(terms)), batch, config, weights=weights)
 
 
 def ms_loss(batch: LabeledBatch, config: LossConfig) -> LossValue:

@@ -102,8 +102,10 @@ def _sq_chords(batch: LabeledBatch) -> np.ndarray:
     """(B, B) squared chords 2 - 2 e_i.e_j, clipped at 0, with inf on the diagonal."""
     if batch.batch_size < 2:
         raise ValueError("need at least 2 samples")
-    gram = batch.embeddings @ batch.embeddings.T
-    d_sq = np.maximum(2.0 - 2.0 * gram, 0.0)
+    d_sq = batch.embeddings @ batch.embeddings.T
+    d_sq *= -2.0
+    d_sq += 2.0
+    np.maximum(d_sq, 0.0, out=d_sq)
     d_sq.flat[:: batch.batch_size + 1] = np.inf
     return d_sq
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from hardneg import batch_engine, cli, gradients
 from hardneg.cli import main
 from hardneg.gradients import LOSS_REGISTRY
 
@@ -240,6 +241,10 @@ def test_experiment_unknown_variant(tmp_path, capsys):
     code, out = run_cli(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "x"))
     assert code == 2
     assert json.loads(out)["error"] == "ConfigError"
+
+
+def test_variants_defined_once():
+    assert cli.VARIANTS is batch_engine.VARIANTS is gradients.VARIANTS
 
 
 def test_misspelled_instance_variant_is_input_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from hardneg import (
     pairwise,
 )
 from hardneg.arc_solver import active_set_margin
+from hardneg import batch_engine, gradients, losses
 from hardneg.gradients import (
+    LOSS_REGISTRY,
     arc_point_adjoints,
     evaluate_loss,
     loss_and_grad,
@@ -160,14 +163,16 @@ def gradient_batches():
 
 
 @pytest.mark.parametrize(
-    "name,tol,variant",
-    [pytest.param(name, tol, "arc", id=f"{name}-{tol}")
+    "name,tol,variant,normalization",
+    [pytest.param(name, tol, "arc", norm, id=f"{name}-{tol}{suffix}")
+     for norm, suffix in (("terms", ""), ("classes", "-classes"))
      for name, tol in GRADIENT_TOLERANCES.items()]
-    + [pytest.param(name, tol, "segment", id=f"{name}-segment")
+    + [pytest.param(name, tol, "segment", norm, id=f"{name}-segment{suffix}")
+       for norm, suffix in (("terms", ""), ("classes", "-classes"))
        for name, tol in GRADIENT_TOLERANCES.items() if name.startswith("loop_")],
 )
-def test_batch_loss_gradients(name, tol, variant):
-    cfg = LossConfig(margin=0.4)
+def test_batch_loss_gradients(name, tol, variant, normalization):
+    cfg = LossConfig(margin=0.4, normalization=normalization)
     worst = 0.0
     for batch in gradient_batches():
         _, grad = loss_and_grad(name, batch, cfg, variant)
@@ -178,6 +183,50 @@ def test_batch_loss_gradients(name, tol, variant):
             if denom > 1e-8:
                 worst = max(worst, np.linalg.norm(tangent[idx] - fd) / denom)
     assert worst < tol
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_REGISTRY))
+def test_unknown_variant_rejected(name):
+    batch = random_batch(np.random.default_rng(5))
+    for fn in (loss_and_grad, evaluate_loss):
+        with pytest.raises(ValueError, match="unknown variant 'segmnet'"):
+            fn(name, batch, LossConfig(), "segmnet")
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_REGISTRY))
+def test_one_pass_per_loss_step(name, monkeypatch):
+    # The gradient reads the value pass's arrays: one distance matrix, one
+    # pairing, one mining per step, and evaluate_loss forms no gradient.
+    calls = Counter()
+
+    def counted(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for attr in ("pairwise", "hardest", "ms_masks", "ms_weighting", "build_pairs"):
+        counted(losses, attr)
+    for module in (gradients, batch_engine):
+        counted(module, "build_pairs")
+    counted(gradients, "chord_grad")
+    batch = random_batch(np.random.default_rng(6), num_classes=4, per_class=4, dim=8)
+    cfg = LossConfig(margin=0.4)
+    loss_and_grad(name, batch, cfg)
+    mined = {"hphn_triplet": 2, "loop_hphn": 1, "lifted_structure": 1}.get(name, 0)
+    ms = int(name in ("ms", "loop_ms"))
+    assert calls["pairwise"] == 1
+    assert calls["build_pairs"] == (0 if name == "ms" else 1)
+    assert calls["hardest"] == mined
+    assert calls["ms_masks"] == calls["ms_weighting"] == ms
+    assert calls["chord_grad"] == 1 - ms
+    calls.clear()
+    evaluate_loss(name, batch, cfg)
+    assert calls["pairwise"] == 1
+    assert calls["chord_grad"] == 0
 
 
 def test_zero_gradient_when_hinges_off():

@@ -13,7 +13,11 @@ the unit difference from each row's local Gram matrix; the closed form
 reorders the arithmetic, so it must agree to 1e-13 of the largest block
 entry. The grid-oracle reference scans each grid in slabs of 4,096 rows
 with freshly allocated temporaries; the cache-sized slabs written in place
-must give every GridResult field bit for bit, ties included.
+must give every GridResult field bit for bit, ties included. The loss
+references compute each loss's value, then rebuild its distances, mining and
+multi-similarity weights for the gradient; the one-pass steps, which read
+them from the value pass, must give every total, term and gradient bit for
+bit.
 """
 
 import dataclasses
@@ -34,7 +38,18 @@ from hardneg import (
     oracle,
     vectorized,
 )
+from hardneg.batch_engine import VARIANTS, OptimalDistanceTable, PairSet
 from hardneg.errors import DegenerateSegment
+from hardneg.gradients import _square, chord_grad, optimal_distance_grad_stack
+from hardneg.losses import (
+    LossConfig,
+    LossValue,
+    _require_negatives,
+    hardest,
+    hinge,
+    ms_masks,
+    ms_weighting,
+)
 from hardneg.geometry import point_on_arc
 from hardneg.oracle import GridResult
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
@@ -887,3 +902,251 @@ def test_explicit_grid_oracle_matches_reference(dim):
     rng = np.random.default_rng(dim + 1)
     for _ in range(2):
         assert_grids_match(rng.normal(size=(4, dim)), 2e-2, explicit=True)
+
+
+# -- one-pass loss steps -----------------------------------------------------
+# The loss values and gradients as they were when each gradient recomputed
+# the distances, the mining and the MS weights of its value pass.
+
+
+def pairwise(batch: LabeledBatch):
+    """Distance and similarity matrices d and s = 1 - d^2 / 2."""
+    gram = batch.embeddings @ batch.embeddings.T
+    d_sq = np.clip(2.0 - 2.0 * gram, 0.0, None)
+    np.fill_diagonal(d_sq, 0.0)
+    dist = np.sqrt(d_sq)
+    sim = 1.0 - d_sq / 2.0
+    return dist, sim
+
+
+def _finish(terms, keys, batch: LabeledBatch, config: LossConfig) -> LossValue:
+    if config.normalization == "classes":
+        norm = batch.num_classes()
+    else:
+        norm = max(len(terms), 1)
+    return LossValue(total=float(np.sum(terms) / norm), terms=terms, keys=keys)
+
+
+def _pair_terms(values, pairs: PairSet, batch, config) -> LossValue:
+    """One hinge term per positive pair, keyed (i, j)."""
+    return _finish(hinge(values), lambda: zip(pairs.idx1.tolist(), pairs.idx2.tolist()),
+                   batch, config)
+
+
+def triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
+    """Hinge over (positive pair, negative sample) tuples."""
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    pairs = build_pairs(batch)
+    i, j = pairs.idx1, pairs.idx2
+    negative = batch.labels[i][:, None] != batch.labels[None, :]
+    values = dist[i, j][:, None] - dist[i] + config.margin
+    rows, k = np.nonzero(negative)
+    return _finish(hinge(values[negative]),
+                   lambda: zip(i[rows].tolist(), j[rows].tolist(), k.tolist()), batch, config)
+
+
+def loop_triplet(
+    batch: LabeledBatch, table: OptimalDistanceTable, config: LossConfig
+) -> LossValue:
+    """Triplet hinge with the negative distance replaced by the optimal one.
+
+    Every combination contributes twice, once per side playing the positive
+    pair, matching the sum over (positive pair, negative pair) tuples.
+    """
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    i, j, k, l = table.combos.T
+    d_opt = table.distances
+    values = np.stack([dist[i, j] - d_opt, dist[k, l] - d_opt], axis=1) + config.margin
+
+    def keys():
+        for a, b, c, d in table.combos.tolist():
+            yield ((a, b), (c, d))
+            yield ((c, d), (a, b))
+
+    return _finish(hinge(values.ravel()), keys, batch, config)
+
+
+def hphn_triplet(batch: LabeledBatch, config: LossConfig) -> LossValue:
+    """Hard-positive hard-negative triplet: one term per positive pair."""
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    pairs = build_pairs(batch)
+    hp = hardest(dist, batch.labels, pairs, positive=True)[0]
+    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
+    return _pair_terms(hp + config.margin - hn, pairs, batch, config)
+
+
+def loop_hphn(
+    batch: LabeledBatch, table: OptimalDistanceTable, config: LossConfig
+) -> LossValue:
+    """HPHN with the mined negative replaced by the per-pair optimal minimum."""
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    hp = hardest(dist, batch.labels, table.pairs, positive=True)[0]
+    return _pair_terms(hp + config.margin - table.pair_min, table.pairs, batch, config)
+
+
+def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
+    """Push each positive pair beyond the margin from its nearest negative."""
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    pairs = build_pairs(batch)
+    hn = hardest(dist, batch.labels, pairs, positive=False)[0]
+    return _pair_terms(dist[pairs.idx1, pairs.idx2] + config.margin - hn, pairs, batch, config)
+
+
+def loop_ls(
+    batch: LabeledBatch, table: OptimalDistanceTable, config: LossConfig
+) -> LossValue:
+    """Lifted structure with the optimal per-pair minimum as the negative."""
+    _require_negatives(batch)
+    dist, _ = pairwise(batch)
+    pairs = table.pairs
+    d_pos = dist[pairs.idx1, pairs.idx2]
+    return _pair_terms(d_pos + config.margin - table.pair_min, pairs, batch, config)
+
+
+def _ms_value(batch, config, table=None) -> LossValue:
+    _require_negatives(batch)
+    _, sim = pairwise(batch)
+    terms, _ = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
+    return _finish(terms, lambda: range(len(terms)), batch, config)
+
+
+def ms_loss(batch: LabeledBatch, config: LossConfig) -> LossValue:
+    """Multi-similarity loss: mine, then weight."""
+    return _ms_value(batch, config)
+
+
+def loop_ms(
+    batch: LabeledBatch, table: OptimalDistanceTable, config: LossConfig
+) -> LossValue:
+    """Multi-similarity loss over the optimally mined negative sets."""
+    return _ms_value(batch, config, table)
+
+
+_triplet_loss, _hphn_loss, _ls_loss, _ms_loss = triplet, hphn_triplet, lifted_structure, ms_loss
+
+
+def _norm_factor(batch, config, n_terms):
+    if config.normalization == "classes":
+        return batch.num_classes()
+    return max(n_terms, 1)
+
+
+def triplet_grad(batch: LabeledBatch, config: LossConfig):
+    """(loss, gradient) of the plain triplet loss."""
+    loss = _triplet_loss(batch, config)
+    dist, _ = pairwise(batch)
+    labels = batch.labels
+    pairs = build_pairs(batch)
+    i_idx, j_idx = pairs.idx1, pairs.idx2
+    neg_mask = labels[i_idx][:, None] != labels[None, :]
+    d_pos = dist[i_idx, j_idx]
+    active = neg_mask & (d_pos[:, None] - dist[i_idx, :] + config.margin > 0.0)
+    # Each active (pair, negative) term adds d(i, j) - d(i, k).
+    weights = np.zeros_like(dist)
+    weights[i_idx] = -active.astype(float)
+    weights[i_idx, j_idx] = active.sum(axis=1)
+    grad = chord_grad(batch.embeddings, dist, weights)
+    return loss, grad / _norm_factor(batch, config, int(neg_mask.sum()))
+
+
+def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
+    """(loss, gradient) of the optimal-negative triplet loss."""
+    loss = loop_triplet(batch, table, config)
+    dist, _ = pairwise(batch)
+    emb = batch.embeddings
+    combos = table.combos
+    # Both sides of every combination play the positive pair once.
+    heads, tails = combos[:, [0, 2]], combos[:, [1, 3]]
+    active = dist[heads, tails] - table.distances[:, None] + config.margin > 0.0
+    m = optimal_distance_grad_stack(len(emb), combos, table.solution, active.sum(axis=1))
+    grad = chord_grad(emb, dist, _square(len(emb), heads, tails, active), m)
+    return loss, grad / _norm_factor(batch, config, 2 * len(combos))
+
+
+def _pair_loss_grad(batch, config, table, positive_is_distance):
+    """Shared gradient for HPHN (hardest positive) and LS (pair distance).
+
+    Without a table the hardest negative is mined from the batch; with one
+    it is each pair's nearest optimal distance. Each active pair adds its
+    positive distance and subtracts its mined negative distance.
+    """
+    dist, _ = pairwise(batch)
+    emb = batch.embeddings
+    pairs = build_pairs(batch)
+    if positive_is_distance:
+        hp, hp_a, hp_b = dist[pairs.idx1, pairs.idx2], pairs.idx1, pairs.idx2
+    else:
+        hp, hp_a, hp_b = hardest(dist, batch.labels, pairs, positive=True)
+    if table is None:
+        hn, hn_a, hn_b = hardest(dist, batch.labels, pairs, positive=False)
+    else:
+        hn = table.pair_min
+    active = hp + config.margin - hn > 0.0
+    weights, m = _square(len(emb), hp_a, hp_b, active), None
+    if table is None:
+        weights -= _square(len(emb), hn_a, hn_b, active)
+    else:
+        nearest = np.bincount(table.nearest[active], minlength=len(table.combos))
+        m = optimal_distance_grad_stack(len(emb), table.combos, table.solution, nearest)
+    return chord_grad(emb, dist, weights, m) / _norm_factor(batch, config, len(pairs))
+
+
+def _ms_grad(batch, config, table=None):
+    """Weighting-stage gradient W E + W^T E; the mined sets are frozen."""
+    _, sim = pairwise(batch)
+    _, weights = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
+    emb = batch.embeddings
+    return (weights @ emb + weights.T @ emb) / _norm_factor(batch, config, batch.batch_size)
+
+
+REFERENCE_STEPS = {
+    "triplet": triplet_grad,
+    "loop_triplet": loop_triplet_grad,
+    "hphn_triplet": lambda b, c: (_hphn_loss(b, c), _pair_loss_grad(b, c, None, False)),
+    "loop_hphn": lambda b, t, c: (loop_hphn(b, t, c), _pair_loss_grad(b, c, t, False)),
+    "lifted_structure": lambda b, c: (_ls_loss(b, c), _pair_loss_grad(b, c, None, True)),
+    "loop_ls": lambda b, t, c: (loop_ls(b, t, c), _pair_loss_grad(b, c, t, True)),
+    "ms": lambda b, c: (_ms_loss(b, c), _ms_grad(b, c)),
+    "loop_ms": lambda b, t, c: (loop_ms(b, t, c), _ms_grad(b, c, t)),
+}
+
+STEP_SHAPES = {"8x16": (8, 16, 16), "32x4": (32, 4, 64), "4x4": (4, 4, 8), "16x8": (16, 8, 32)}
+
+
+def step_batches(classes, per_class, dim):
+    """A spread batch, the same rows with labels interleaved, and one with a duplicated row."""
+    spread = generate_synthetic(SyntheticSpec(classes, per_class, dim, seed=classes + dim))
+    order = np.random.default_rng(dim).permutation(spread.batch_size)
+    interleaved = LabeledBatch.from_arrays(spread.embeddings[order], spread.labels[order])
+    rows = spread.embeddings.copy()
+    rows[1] = rows[0]
+    duplicated = LabeledBatch.from_arrays(rows, spread.labels)
+    return spread, interleaved, duplicated
+
+
+@pytest.mark.parametrize("shape", list(STEP_SHAPES), ids=list(STEP_SHAPES))
+def test_loss_steps_match_reference(shape):
+    classes, per_class, dim = STEP_SHAPES[shape]
+    for batch in step_batches(classes, per_class, dim):
+        dist, sim = gradients.pairwise(batch)
+        ref_dist, ref_sim = pairwise(batch)
+        assert np.array_equal(dist, ref_dist) and np.array_equal(sim, ref_sim)
+        tables = {variant: optimal_distance_table(batch, variant) for variant in VARIANTS}
+        for normalization in ("terms", "classes"):
+            cfg = LossConfig(margin=0.3, normalization=normalization)
+            for name, (needs_table, value_fn, step_fn) in gradients.LOSS_REGISTRY.items():
+                for variant in VARIANTS if needs_table else ("arc",):
+                    args = (batch, tables[variant]) if needs_table else (batch,)
+                    loss, grad = step_fn(*args, cfg)
+                    ref_loss, ref_grad = REFERENCE_STEPS[name](*args, cfg)
+                    assert loss.total == ref_loss.total, (name, variant)
+                    assert np.array_equal(loss.terms, ref_loss.terms), (name, variant)
+                    assert np.array_equal(grad, ref_grad), (name, variant)
+                    assert value_fn(*args, cfg).total == loss.total
+                    via_name = gradients.loss_and_grad(name, batch, cfg, variant)
+                    assert np.array_equal(via_name[1], grad), (name, variant)

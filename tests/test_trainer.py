@@ -124,6 +124,13 @@ def test_zero_learning_rate_constant_history():
     assert len(losses) == 1
 
 
+@pytest.mark.parametrize("loss", ["triplet", "ms", "loop_ls"])
+def test_unknown_variant_rejected(loss):
+    spec = SyntheticSpec(num_classes=3, samples_per_class=4, dimension=6, seed=2)
+    with pytest.raises(ValueError, match="unknown variant 'segmnet'"):
+        train(spec, loss, LossConfig(), steps=1, variant="segmnet")
+
+
 def test_well_separated_clusters_zero_loss():
     spec = SyntheticSpec(
         num_classes=3, samples_per_class=4, dimension=8, concentration=60.0, seed=4
