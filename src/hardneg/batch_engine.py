@@ -14,9 +14,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidBatchShape, NoNegatives, OddClassCount
-# solve_arc_stack is re-exported: callers reach the row solver through this module.
-from .vectorized import solve_arc_gram, solve_arc_stack, solve_segment_stack  # noqa: F401
+from .errors import InvalidBatchShape, NoNegatives, NonFiniteInput, OddClassCount
+from .vectorized import solve_arc_gram, solve_segment_gram
+# The row solvers are re-exported: callers reach them through this module.
+from .vectorized import solve_arc_stack, solve_segment_stack  # noqa: F401
 
 # Table variants: negatives on the great-circle arc or on the chord segment of a pair.
 VARIANTS = ("arc", "segment")
@@ -114,9 +115,10 @@ class OptimalDistanceTable:
 
     combos holds rows (i, j, k, l) in lexicographic order and pair_positions
     the two positive pairs of each row; solution is the stacked solver
-    output aligned with combos, kept for gradient formation. Arc tables
-    are solved from gram, the (B, B) matrix of embedding dots, and hold no
-    per-row embedding copies.
+    output aligned with combos, kept for gradient formation. Every table
+    is solved from gram, the (B, B) matrix of embedding dots, so its rows
+    must be unit (the Gram dots assume |e| = 1), and holds no per-row
+    embedding copies.
     pair_distances is the (P, P) optimal distance between positive pairs
     (+inf within a class and on the diagonal) and nearest the first row
     attaining each pair's minimum. The dict views positive_pairs,
@@ -129,7 +131,7 @@ class OptimalDistanceTable:
     variant: str
     solution: object = field(repr=False)
     pairs: PairSet = field(repr=False)
-    gram: np.ndarray | None = field(repr=False)
+    gram: np.ndarray = field(repr=False)
     pair_distances: np.ndarray = field(repr=False)
     nearest: np.ndarray = field(repr=False)
 
@@ -162,9 +164,11 @@ class OptimalDistanceTable:
 def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> OptimalDistanceTable:
     """Solve every cross-class combination and reduce per-pair minima.
 
-    All instances are solved in one stacked call; rows are in fixed
-    lexicographic pair order and minima keep the first minimising row, so
-    the table is reproducible bit for bit for a given batch.
+    All instances are solved in one stacked call from the Gram matrix;
+    rows are in fixed lexicographic pair order and minima keep the first
+    minimising row, so the table is reproducible bit for bit for a given
+    batch. Raises NonFiniteInput for a non-finite embedding and
+    InvalidBatchShape for one that is not unit norm.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -178,12 +182,14 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     combos = np.stack([pairs.idx1[p], pairs.idx2[p], pairs.idx1[q], pairs.idx2[q]], axis=1)
 
     emb = batch.embeddings
-    if variant == "arc":
-        gram = emb @ emb.T
-        solution = solve_arc_gram(emb, gram, combos)
-    else:
-        gram = None
-        solution = solve_segment_stack(*(emb[combos[:, col]] for col in range(4)))
+    gram = emb @ emb.T
+    if not np.all(np.isfinite(gram)):
+        raise NonFiniteInput("batch contains a non-finite embedding")
+    # A normalized row's squared norm is 1 to within rounding, far inside 1e-9.
+    if np.any(np.abs(np.diagonal(gram) - 1.0) > 1e-9):
+        raise InvalidBatchShape("table embeddings must have unit norm")
+    solve = solve_arc_gram if variant == "arc" else solve_segment_gram
+    solution = solve(emb, gram, combos)
     distances = solution.distance
 
     # Row index of each (pair, pair) entry; a row's index grows with the

@@ -114,14 +114,12 @@ def objective_coeffs(basis_x: OrthoBasis, basis_y: OrthoBasis) -> ObjectiveCoeff
 
 
 def fallback_orthonormal(x: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to x, for collapsed arcs.
+    """Deterministic unit vector orthogonal to x, for collapsed arcs; row-wise for a stack.
 
     Orthogonalizes the coordinate axis where |x| is smallest; that axis is
     never parallel to x, so the residual is well conditioned.
     """
     x = np.asarray(x, dtype=float)
-    axis = int(np.argmin(np.abs(x)))
-    e = np.zeros_like(x)
-    e[axis] = 1.0
-    residual = e - (x @ e) * x
-    return residual / np.linalg.norm(residual)
+    e = (np.arange(x.shape[-1]) == np.argmin(np.abs(x), axis=-1)[..., None]).astype(float)
+    residual = e - np.sum(x * e, axis=-1, keepdims=True) * x
+    return residual / np.linalg.norm(residual, axis=-1, keepdims=True)

@@ -38,7 +38,7 @@ from .losses import hphn_triplet as _hphn_loss
 from .losses import lifted_structure as _ls_loss
 from .losses import ms_loss as _ms_loss
 from .losses import triplet as _triplet_loss
-from .vectorized import CASE_BOUNDS, EXPLICIT_NORM_BELOW, SegmentStackSolution
+from .vectorized import CASE_BOUNDS, EXPLICIT_NORM_BELOW, SegmentDotSolution
 
 # Distances below this are treated as kinks of the norm; their gradient
 # contribution is dropped.
@@ -120,7 +120,7 @@ def optimal_distance_grad_stack(n, combos, sol, weights) -> np.ndarray:
     distance (a norm kink) contribute nothing.
     """
     sel = np.flatnonzero((weights != 0) & (sol.distance > _TINY_DIST))
-    if isinstance(sol, SegmentStackSolution):
+    if isinstance(sol, SegmentDotSolution):
         k1, k2 = sol.k1[sel], sol.k2[sel]
         ends = np.stack([1.0 - k1, k1, -(1.0 - k2), -k2], axis=1)
         blocks = ends[:, :, None] * ends[:, None, :] / sol.distance[sel][:, None, None]

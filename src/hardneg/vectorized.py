@@ -5,11 +5,14 @@ batch construction can solve every pair-of-pairs combination at once; the
 single-instance solvers in `arc_solver` and `segment_solver` call these on
 a stack of one row.
 
-Every arc quantity is a function of the six endpoint dots of a row, so one
-core (`_solve_arc_core`) solves from dots alone: `solve_arc_stack` feeds it
-row dots and then forms the optimal points, and `solve_arc_gram` feeds it
-gathers from a Gram matrix E E^T, so its cost per row does not grow with
-the dimension.
+Both variants solve from dots alone. Every arc quantity is a function of
+the six endpoint dots of a row, and every segment quantity of the dots of
+u = x1 - x2, v = y1 - y2 and w = x1 - y1, which for unit endpoints are
+affine in the same six. So one core per variant (`_solve_arc_core`,
+`_solve_segment_core`) takes dots: `solve_arc_stack` and
+`solve_segment_stack` feed it row dots and then form the optimal points,
+and `solve_arc_gram` and `solve_segment_gram` feed it gathers from a Gram
+matrix E E^T, so their cost per row does not grow with the dimension.
 
 The core evaluates ten candidate slots per row: two interior stationary
 points (case 0, both angles free), four edges (cases 1 and 2 pin alpha at 0
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateArc, DegenerateSegment, NonFiniteInput
-from .geometry import DEGENERACY_EPS
+from .geometry import DEGENERACY_EPS, fallback_orthonormal
 
 # Multiplier sign slack and box feasibility slack: exact-arithmetic KKT
 # conditions need a numeric cushion.
@@ -113,22 +116,12 @@ def _require_finite(*arrays) -> None:
         raise NonFiniteInput("stack contains a non-finite coordinate")
 
 
-def _fallback_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise deterministic unit vectors orthogonal to x."""
-    n, dim = x.shape
-    axis = np.argmin(np.abs(x), axis=1)
-    e = np.zeros_like(x)
-    e[np.arange(n), axis] = 1.0
-    residual = e - (np.sum(x * e, axis=1, keepdims=True)) * x
-    return residual / np.linalg.norm(residual, axis=1, keepdims=True)
-
-
 def _second_basis(u: np.ndarray, v: np.ndarray, dot, collapsed) -> np.ndarray:
     """Unit rows along v - (u.v) u; a fixed orthogonal row where the side collapsed."""
     residual = v - dot[:, None] * u
     n2 = residual / np.where(collapsed, 1.0, np.linalg.norm(residual, axis=1))[:, None]
     if np.any(collapsed):
-        n2[collapsed] = _fallback_rows(u[collapsed])
+        n2[collapsed] = fallback_orthonormal(u[collapsed])
     return n2
 
 
@@ -375,32 +368,36 @@ def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
 
 
 @dataclass
-class SegmentStackSolution:
+class SegmentDotSolution:
+    """Winning candidates for a stack of segment problems, from endpoint dots.
+
+    Holds no (n, D) array: the optimal points are p1 = (1 - k1) x1 + k1 x2
+    and p2 = (1 - k2) y1 + k2 y2, so k1, k2 and the distance suffice to form
+    envelope gradients.
+    """
+
     case_id: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
     distance: np.ndarray
+
+
+@dataclass
+class SegmentStackSolution(SegmentDotSolution):
+    """A SegmentDotSolution plus the optimal points as rows."""
+
     p1: np.ndarray
     p2: np.ndarray
 
 
-def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
-    """Solve n segment problems given four (n, D) endpoint stacks.
+def _solve_segment_core(uu, vv, uv, uw, vw, ww) -> SegmentDotSolution:
+    """Solve n segment problems from the dots of u = x1 - x2, v = y1 - y2, w = x1 - y1.
 
     Rows where both segments collapse are rejected; rows with one collapsed
-    segment fall back to point-vs-segment.
+    segment fall back to point-vs-segment. The distance is the square root
+    of the expanded d^2 that ranks the candidates; callers replace it.
     """
-    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
-    _require_finite(x1, x2, y1, y2)
-    n = x1.shape[0]
-    u = x1 - x2
-    v = y1 - y2
-    w = x1 - y1
-    uu = np.sum(u * u, axis=1)
-    vv = np.sum(v * v, axis=1)
-    uv = np.sum(u * v, axis=1)
-    uw = np.sum(u * w, axis=1)
-    vw = np.sum(v * w, axis=1)
+    n = len(uu)
     x_col = np.sqrt(uu) <= EPS_SEGMENT
     y_col = np.sqrt(vv) <= EPS_SEGMENT
     if np.any(x_col & y_col):
@@ -432,7 +429,7 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
 
     # Squared distance at each candidate, evaluated from the quadratic form.
     d2 = (
-        np.sum(w * w, axis=1)
+        ww
         + k1_c * k1_c * uu
         + k2_c * k2_c * vv
         - 2.0 * k1_c * uw
@@ -453,11 +450,59 @@ def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
     ok[0] &= det_ok
     winner = _select(d2, ok, x_col + 2 * y_col, _ALLOWED)
     rows = np.arange(n)
-    k1_w = k1_c[winner, rows]
-    k2_w = k2_c[winner, rows]
-    p1 = (1.0 - k1_w)[:, None] * x1 + k1_w[:, None] * x2
-    p2 = (1.0 - k2_w)[:, None] * y1 + k2_w[:, None] * y2
-    dist = np.linalg.norm(p1 - p2, axis=1)
-    return SegmentStackSolution(
-        case_id=winner, k1=k1_w, k2=k2_w, distance=dist, p1=p1, p2=p2
+    return SegmentDotSolution(
+        case_id=winner, k1=k1_c[winner, rows], k2=k2_c[winner, rows],
+        distance=np.sqrt(np.maximum(d2[winner, rows], 0.0)),
     )
+
+
+def solve_segment_stack(x1, x2, y1, y2) -> SegmentStackSolution:
+    """Solve n segment problems given four (n, D) endpoint stacks."""
+    x1, x2, y1, y2 = (np.ascontiguousarray(m, dtype=float) for m in (x1, x2, y1, y2))
+    _require_finite(x1, x2, y1, y2)
+    u = x1 - x2
+    v = y1 - y2
+    w = x1 - y1
+    core = _solve_segment_core(*(np.sum(a * b, axis=1) for a, b in
+                                 ((u, u), (v, v), (u, v), (u, w), (v, w), (w, w))))
+    k1, k2 = core.k1[:, None], core.k2[:, None]
+    p1 = (1.0 - k1) * x1 + k1 * x2
+    p2 = (1.0 - k2) * y1 + k2 * y2
+    core.distance = np.linalg.norm(p1 - p2, axis=1)
+    return SegmentStackSolution(**vars(core), p1=p1, p2=p2)
+
+
+def solve_segment_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> SegmentDotSolution:
+    """Solve the segment problems of unit rows (i, j, k, l) of emb from gram = emb emb^T.
+
+    With u = e_i - e_j, v = e_k - e_l and w = e_i - e_k every core dot is
+    affine in the six endpoint dots G_ab. The distance is taken in chord
+    form, d^2 = -sum_{a<b} c_a c_b |e_a - e_b|^2 with c = (1 - k1, k1,
+    -(1 - k2), -k2), which at a corner is the chord itself. Rows with |u|,
+    |v| or the distance below EXPLICIT_NORM_BELOW gather their four
+    endpoints and take `solve_segment_stack`'s case, k1, k2 and distance,
+    so collapse decisions and near-contact distances are the row solver's;
+    the core never sees those rows, and no other row is gathered.
+    """
+    _require_finite(gram)
+    first, second = (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)  # ij, ik, il, jk, jl, kl
+    g = gram[combos[:, first], combos[:, second]]
+    chord_sq = np.maximum(2.0 - 2.0 * g, 0.0)
+    short = np.minimum(chord_sq[:, 0], chord_sq[:, 5]) < EXPLICIT_NORM_BELOW**2
+    far = np.flatnonzero(~short)
+    g_ij, g_ik, g_il, g_jk, g_jl, g_kl = g[far].T
+    uu, ww, _, _, _, vv = chord_sq[far].T
+    core = _solve_segment_core(uu, vv, g_ik - g_il - g_jk + g_jl, 1.0 - g_ij - g_ik + g_jk,
+                               g_ik - g_il + g_kl - 1.0, ww)
+    sol = SegmentDotSolution(*(np.zeros(len(combos), m.dtype) for m in vars(core).values()))
+    for name, values in vars(core).items():
+        getattr(sol, name)[far] = values
+    c = np.stack([1.0 - sol.k1, sol.k1, -(1.0 - sol.k2), -sol.k2], axis=1)
+    d_sq = -np.sum(c[:, first] * c[:, second] * chord_sq, axis=1)
+    sol.distance = np.sqrt(np.maximum(d_sq, 0.0))
+    near = np.flatnonzero(short | (sol.distance < EXPLICIT_NORM_BELOW))
+    if len(near):
+        rows = solve_segment_stack(*(emb[combos[near, col]] for col in range(4)))
+        for name in vars(sol):
+            getattr(sol, name)[near] = getattr(rows, name)
+    return sol

@@ -16,7 +16,7 @@ from hardneg import (
     combination_count,
     optimal_distance_table,
 )
-from hardneg.vectorized import solve_arc_stack
+from hardneg.vectorized import solve_arc_stack, solve_segment_stack
 
 from conftest import random_batch, unit_rows
 
@@ -167,6 +167,7 @@ def test_non_finite_embeddings_rejected(rng):
             LabeledBatch.from_arrays(emb_bad, np.array([0, 0, 1, 1]))
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -176,9 +177,10 @@ def test_non_finite_embeddings_rejected(rng):
     collapsed=st.booleans(),
     touching=st.booleans(),
     interleaved=st.booleans(),
+    variant=st.sampled_from(["arc", "segment"]),
 )
 def test_gram_table_matches_row_solver(seed, num_classes, per_class, dim, collapsed,
-                                       touching, interleaved):
+                                       touching, interleaved, variant):
     # The table solves from E E^T; the row solver from gathered endpoints.
     rng = np.random.default_rng(seed)
     emb = unit_rows(rng, num_classes * per_class, dim)
@@ -191,15 +193,19 @@ def test_gram_table_matches_row_solver(seed, num_classes, per_class, dim, collap
         order = rng.permutation(len(labels))
         emb, labels = emb[order], labels[order]
     batch = LabeledBatch.from_arrays(emb, labels)
-    table = optimal_distance_table(batch)
+    table = optimal_distance_table(batch, variant)
     rows = (batch.embeddings[table.combos[:, col]] for col in range(4))
-    reference = solve_arc_stack(*rows)
     sol = table.solution
+    if variant == "arc":
+        reference = solve_arc_stack(*rows)
+        params = (sol.alpha, reference.alpha), (sol.beta, reference.beta)
+    else:
+        reference = solve_segment_stack(*rows)
+        params = (sol.k1, reference.k1), (sol.k2, reference.k2)
     assert np.max(np.abs(sol.distance - reference.distance)) <= 1e-12
     # Where duplicated embeddings make several cases meet at one point, the
     # last bit of a dot product picks the label; the optimum must still agree.
-    same_point = (np.abs(sol.alpha - reference.alpha) <= 1e-9) & (
-        np.abs(sol.beta - reference.beta) <= 1e-9)
+    same_point = np.logical_and.reduce([np.abs(new - ref) <= 1e-9 for new, ref in params])
     tie = same_point & (collapsed or touching)
     assert np.all((sol.case_id == reference.case_id) | tie)
 
@@ -211,4 +217,15 @@ def test_non_finite_table_rejected(rng, variant):
     emb[3, 0] = np.nan
     batch = LabeledBatch(embeddings=emb, labels=np.array([0, 0, 1, 1]), samples_per_class=2)
     with pytest.raises(HardNegError):
+        optimal_distance_table(batch, variant=variant)
+
+
+@pytest.mark.parametrize("variant", ["arc", "segment"])
+def test_non_unit_table_rejected(rng, variant):
+    # Every table is solved from E E^T, whose dots assume unit rows; rows of
+    # norm 1.5 used to give an arc distance that was neither the unit nor a
+    # scaled answer.
+    batch = LabeledBatch(embeddings=1.5 * unit_rows(rng, 4, 3), labels=np.array([0, 0, 1, 1]),
+                         samples_per_class=2)
+    with pytest.raises(InvalidBatchShape, match="unit norm"):
         optimal_distance_table(batch, variant=variant)

@@ -7,9 +7,12 @@ import pytest
 from hardneg import (
     ArcProblem,
     SegmentProblem,
+    SyntheticSpec,
+    generate_synthetic,
     grid_min_arc,
     grid_min_segment,
     optimal_arc_distance,
+    optimal_distance_table,
     optimal_segment_distance,
 )
 
@@ -97,6 +100,13 @@ def test_grid_scan_allocates_little(rng):
     assert _traced_peak(grid_min_arc, arc, 1e-3) < budget
     assert _traced_peak(grid_min_segment, segment, 1e-3) < budget
     assert _traced_peak(grid_min_arc, arc, 5e-3, explicit=True) < budget
+
+
+def test_segment_table_allocates_little():
+    # Solved from the B x B Gram matrix, a segment table gathers no (C, D)
+    # endpoint rows: 1,920 combinations at D=256 took 42 MiB that way.
+    batch = generate_synthetic(SyntheticSpec(16, 8, 256, seed=0))
+    assert _traced_peak(optimal_distance_table, batch, "segment") < 4 * 2**20
 
 
 def test_collapsed_arc_grid_is_one_dimensional():

@@ -511,7 +511,11 @@ def test_solvers_match_reference_on_batches(shape, concentration):
         assert_same_fields(vectorized._solve_arc_core(*dots), _solve_arc_core(*dots))
         rows = [batch.embeddings[table.combos[:, col]] for col in range(4)]
         assert_arc_core_matches(*rows)
-        assert_same_fields(vectorized.solve_segment_stack(*rows), solve_segment_stack(*rows))
+        segment = vectorized.solve_segment_stack(*rows)
+        assert_same_fields(segment, solve_segment_stack(*rows))
+        gram_segment = optimal_distance_table(batch, "segment").solution
+        assert np.array_equal(gram_segment.case_id, segment.case_id) and np.max(
+            np.abs(gram_segment.distance - segment.distance)) <= 1e-15
 
 
 def degenerate_stacks(rng, n, dim):
