@@ -29,6 +29,10 @@ class LabeledBatch:
 
     samples_per_class is the common class size for balanced batches and
     None otherwise.
+
+    gram, the (B, B) matrix of embedding dots, is formed on first read and
+    kept; the table, the plain distances and recall all read it. The cache
+    relies on one rule: no code writes to a batch's embeddings in place.
     """
 
     embeddings: np.ndarray
@@ -63,6 +67,21 @@ class LabeledBatch:
 
     def num_classes(self) -> int:
         return len(np.unique(self.labels))
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        gram = self.embeddings @ self.embeddings.T
+        gram.flags.writeable = False  # shared by every reader of the batch
+        return gram
+
+    def sq_chords(self, diagonal: float) -> np.ndarray:
+        """Fresh (B, B) squared chords 2 - 2 G, clipped at 0, with the given diagonal."""
+        # 2 + (-2 g) rounds exactly as 2 - 2 g.
+        d_sq = self.gram * -2.0
+        d_sq += 2.0
+        np.maximum(d_sq, 0.0, out=d_sq)
+        np.fill_diagonal(d_sq, diagonal)
+        return d_sq
 
 
 @dataclass(frozen=True)
@@ -116,9 +135,8 @@ class OptimalDistanceTable:
     combos holds rows (i, j, k, l) in lexicographic order and pair_positions
     the two positive pairs of each row; solution is the stacked solver
     output aligned with combos, kept for gradient formation. Every table
-    is solved from gram, the (B, B) matrix of embedding dots, so its rows
-    must be unit (the Gram dots assume |e| = 1), and holds no per-row
-    embedding copies.
+    is solved from the batch's Gram matrix, so its rows must be unit (the
+    Gram dots assume |e| = 1), and holds no per-row embedding copies.
     pair_distances is the (P, P) optimal distance between positive pairs
     (+inf within a class and on the diagonal) and nearest the first row
     attaining each pair's minimum. The dict views positive_pairs,
@@ -131,7 +149,6 @@ class OptimalDistanceTable:
     variant: str
     solution: object = field(repr=False)
     pairs: PairSet = field(repr=False)
-    gram: np.ndarray = field(repr=False)
     pair_distances: np.ndarray = field(repr=False)
     nearest: np.ndarray = field(repr=False)
 
@@ -181,15 +198,14 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     p, q = p[cross], q[cross]
     combos = np.stack([pairs.idx1[p], pairs.idx2[p], pairs.idx1[q], pairs.idx2[q]], axis=1)
 
-    emb = batch.embeddings
-    gram = emb @ emb.T
+    gram = batch.gram
     if not np.all(np.isfinite(gram)):
         raise NonFiniteInput("batch contains a non-finite embedding")
     # A normalized row's squared norm is 1 to within rounding, far inside 1e-9.
     if np.any(np.abs(np.diagonal(gram) - 1.0) > 1e-9):
         raise InvalidBatchShape("table embeddings must have unit norm")
     solve = solve_arc_gram if variant == "arc" else solve_segment_gram
-    solution = solve(emb, gram, combos)
+    solution = solve(batch.embeddings, gram, combos)
     distances = solution.distance
 
     # Row index of each (pair, pair) entry; a row's index grows with the
@@ -205,7 +221,6 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
         variant=variant,
         solution=solution,
         pairs=pairs,
-        gram=gram,
         pair_distances=pair_distances,
         nearest=nearest,
     )

@@ -10,6 +10,7 @@ JSON on stdout, CSV for tabular histories, SVG for figures. Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -94,20 +95,22 @@ def _write_manifest(command, config_path, out_dir, seed):
         seed=seed,
         timestamp=datetime.now(timezone.utc).isoformat(),
     )
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(asdict(manifest), fh, indent=2)
-        fh.write("\n")
+    _emit(asdict(manifest), out / "manifest.json")
     return out
 
 
-def _load_instance(path):
+def _read_json(path):
     try:
         with open(path) as fh:
-            payload = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+
+
+def _load_instance(path):
+    payload = _read_json(path)
     try:
         points = tuple(
             np.asarray(payload[key], dtype=float) for key in ("x1", "x2", "y1", "y2")
@@ -122,14 +125,24 @@ def _load_instance(path):
     return points, variant
 
 
-def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(payload, path=None) -> None:
+    """Write payload as indented JSON and a newline, to the file at path or to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _variant_problem(points, variant):
+    """An instance's problem with its variant's closed-form solver and grid oracle."""
+    if variant == "segment":
+        return SegmentProblem.from_endpoints(*points), optimal_segment_distance, grid_min_segment
+    return ArcProblem.from_endpoints(*points), optimal_arc_distance, grid_min_arc
 
 
 def _solve_payload(points, variant):
+    problem, solve, _ = _variant_problem(points, variant)
+    sol = solve(problem)
     if variant == "segment":
-        sol = optimal_segment_distance(SegmentProblem.from_endpoints(*points))
         return {
             "variant": "segment",
             "case_id": int(sol.case_id),
@@ -139,7 +152,6 @@ def _solve_payload(points, variant):
             "p2": sol.p2.tolist(),
             "distance": float(sol.distance),
         }
-    sol = optimal_arc_distance(ArcProblem.from_endpoints(*points))
     return {
         "variant": "arc",
         "case_id": int(sol.candidate.case_id),
@@ -158,17 +170,13 @@ def cmd_solve(args) -> int:
     _emit(payload)
     if args.out_dir:
         out = _write_manifest("solve", args.instance, args.out_dir, args.seed)
-        with open(out / "solution.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _emit(payload, out / "solution.json")
     return 0
 
 
 def _oracle_payload(points, variant, resolution):
-    if variant == "segment":
-        result = grid_min_segment(SegmentProblem.from_endpoints(*points), resolution)
-    else:
-        result = grid_min_arc(ArcProblem.from_endpoints(*points), resolution)
+    problem, _, grid = _variant_problem(points, variant)
+    result = grid(problem, resolution)
     return {
         "best_params": [float(v) for v in result.best_params],
         "best_distance": float(result.best_distance),
@@ -191,17 +199,11 @@ def _run_sweep(args) -> int:
     rows = []
     for idx in range(args.sweep):
         dim = SWEEP_DIMS[idx % len(SWEEP_DIMS)]
-        points = _random_instance(rng, dim, variant)
-        if variant == "segment":
-            problem = SegmentProblem.from_endpoints(*points)
-            solver_d = optimal_segment_distance(problem).distance
-            oracle_d = grid_min_segment(problem, args.resolution).best_distance
-            scale = float(np.linalg.norm(problem.u) + np.linalg.norm(problem.v))
-        else:
-            problem = ArcProblem.from_endpoints(*points)
-            solver_d = optimal_arc_distance(problem).distance
-            oracle_d = grid_min_arc(problem, args.resolution).best_distance
-            scale = 1.0
+        problem, solve, grid = _variant_problem(_random_instance(rng, dim, variant), variant)
+        solver_d = solve(problem).distance
+        oracle_d = grid(problem, args.resolution).best_distance
+        scale = (float(np.linalg.norm(problem.u) + np.linalg.norm(problem.v))
+                 if variant == "segment" else 1.0)
         rows.append((idx, dim, solver_d, oracle_d, oracle_d - solver_d, scale))
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -219,9 +221,7 @@ def _run_sweep(args) -> int:
             sum(1 for r in rows if r[4] > 2e-3 * r[5])
         ),
     }
-    with open(out / "sweep_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _emit(summary, out / "sweep_summary.json")
     _emit(summary)
     return 0
 
@@ -237,9 +237,7 @@ def cmd_oracle(args) -> int:
     _emit(payload)
     if args.out_dir:
         out = _write_manifest("oracle", args.instance, args.out_dir, args.seed)
-        with open(out / "oracle.json", "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _emit(payload, out / "oracle.json")
     return 0
 
 
@@ -252,13 +250,7 @@ def _config_int(value, name):
 
 
 def _load_experiment_config(path):
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise ConfigError(f"experiment config must be a JSON object, got {type(payload).__name__}")
     spec_fields = payload.get("spec", {})
@@ -342,9 +334,7 @@ def cmd_experiment(args) -> int:
     summary["median_final_recall_at_1"] = {
         name: statistics.median(vals) for name, vals in finals.items()
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _emit(summary, out / "summary.json")
     _emit(summary)
     return 0
 

@@ -62,7 +62,8 @@ def normalize(v) -> np.ndarray:
     squares past the float range).
     """
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflow gives inf, which the check below rejects
+        n = float(np.linalg.norm(v))
     if n <= NORM_EPS:
         raise NearZeroVector(f"norm {n:.3e} too small to normalize")
     if not np.isfinite(n):

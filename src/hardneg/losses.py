@@ -91,14 +91,10 @@ class LossValue:
 
 
 def pairwise(batch: LabeledBatch):
-    """Distance and similarity matrices d and s = 1 - d^2 / 2."""
-    # In place; 2 + (-2 g) and -d^2 / 2 + 1 round exactly as 2 - 2 g and 1 - d^2 / 2.
-    d_sq = batch.embeddings @ batch.embeddings.T
-    d_sq *= -2.0
-    d_sq += 2.0
-    np.maximum(d_sq, 0.0, out=d_sq)
-    np.fill_diagonal(d_sq, 0.0)
+    """Distance and similarity matrices d and s = 1 - d^2 / 2, from the batch's Gram matrix."""
+    d_sq = batch.sq_chords(0.0)
     dist = np.sqrt(d_sq)
+    # In place; -d^2 / 2 + 1 rounds exactly as 1 - d^2 / 2.
     sim = d_sq * -0.5
     sim += 1.0
     return dist, sim

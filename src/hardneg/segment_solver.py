@@ -50,9 +50,10 @@ class SegmentProblem:
                 f"segment endpoints must be vectors of one dimension, got shapes "
                 f"{[p.shape for p in (x1, x2, y1, y2)]}"
             )
-        u, v, w = x1 - x2, y1 - y2, x1 - y1
-        if not all(np.isfinite(m @ m) for m in (u, v, w)):
-            raise NonFiniteInput("segment differences are non-finite or overflow when squared")
+        with np.errstate(over="ignore"):  # an overflow gives inf, which the check rejects
+            u, v, w = x1 - x2, y1 - y2, x1 - y1
+            if not all(np.isfinite(m @ m) for m in (u, v, w)):
+                raise NonFiniteInput("segment differences are non-finite or overflow when squared")
         return cls(x1=x1, x2=x2, y1=y1, y2=y2, u=u, v=v, w=w)
 
 

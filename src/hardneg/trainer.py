@@ -98,18 +98,6 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledBatch:
     )
 
 
-def _sq_chords(batch: LabeledBatch) -> np.ndarray:
-    """(B, B) squared chords 2 - 2 e_i.e_j, clipped at 0, with inf on the diagonal."""
-    if batch.batch_size < 2:
-        raise ValueError("need at least 2 samples")
-    d_sq = batch.embeddings @ batch.embeddings.T
-    d_sq *= -2.0
-    d_sq += 2.0
-    np.maximum(d_sq, 0.0, out=d_sq)
-    d_sq.flat[:: batch.batch_size + 1] = np.inf
-    return d_sq
-
-
 def _same_class_ranks(batch: LabeledBatch) -> np.ndarray:
     """Per sample, the rank of its nearest same-class neighbour among the others.
 
@@ -117,7 +105,9 @@ def _same_class_ranks(batch: LabeledBatch) -> np.ndarray:
     samples: those strictly closer, plus equally close ones of lower index.
     A sample with no same-class neighbour gets rank inf.
     """
-    d_sq = _sq_chords(batch)
+    if batch.batch_size < 2:
+        raise ValueError("need at least 2 samples")
+    d_sq = batch.sq_chords(np.inf)
     labels = batch.labels
     same = np.where(labels[:, None] == labels[None, :], d_sq, np.inf)
     nearest = np.argmin(same, axis=1)[:, None]
@@ -136,8 +126,10 @@ def _recall_from_ranks(ranks: np.ndarray, k: int) -> float:
 def recall_at_k(batch: LabeledBatch, k: int) -> float:
     """Fraction of samples whose k nearest neighbors include their class."""
     if k == 1:
+        if batch.batch_size < 2:
+            raise ValueError("need at least 2 samples")
         # Rank 0: the first nearest other sample is of the same class.
-        nearest = np.argmin(_sq_chords(batch), axis=1)
+        nearest = np.argmin(batch.sq_chords(np.inf), axis=1)
         return float(np.mean(batch.labels[nearest] == batch.labels))
     return _recall_from_ranks(_same_class_ranks(batch), k)
 

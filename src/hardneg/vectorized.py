@@ -428,10 +428,14 @@ def _solve_segment_core(uu, vv, uv, uw, vw, ww) -> SegmentDotSolution:
     k2_c[8] = 1.0
 
     # Squared distance at each candidate, evaluated from the quadratic form.
+    # A collapsed side's slots that move its parameter divide by u.u or v.v and
+    # may overflow here; _ALLOWED rules those slots out for the row.
+    with np.errstate(over="ignore"):
+        k1_term, k2_term = k1_c * k1_c * uu, k2_c * k2_c * vv
     d2 = (
         ww
-        + k1_c * k1_c * uu
-        + k2_c * k2_c * vv
+        + k1_term
+        + k2_term
         - 2.0 * k1_c * uw
         + 2.0 * k2_c * vw
         - 2.0 * k1_c * k2_c * uv

@@ -8,13 +8,16 @@ from hardneg import (
     ArcProblem,
     LabeledBatch,
     LossConfig,
+    SyntheticSpec,
     finite_diff_grad,
+    generate_synthetic,
     optimal_arc_distance,
     optimal_distance_table,
     pairwise,
 )
 from hardneg.arc_solver import active_set_margin
-from hardneg import batch_engine, gradients, losses
+from hardneg import batch_engine, gradients, losses, trainer
+from hardneg.batch_engine import VARIANTS
 from hardneg.gradients import (
     LOSS_REGISTRY,
     arc_point_adjoints,
@@ -227,6 +230,51 @@ def test_one_pass_per_loss_step(name, monkeypatch):
     evaluate_loss(name, batch, cfg)
     assert calls["pairwise"] == 1
     assert calls["chord_grad"] == 0
+
+
+class CountedRows(np.ndarray):
+    """Embedding rows that count the products E E^T formed from them."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        a = inputs[0]
+        if (ufunc is np.matmul and a.ndim == 2 and inputs[1].shape == a.shape[::-1]
+                and np.may_share_memory(*inputs)):
+            CountedRows.products += 1
+        plain = [x.view(np.ndarray) if isinstance(x, CountedRows) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in kwargs["out"])
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", sorted(LOSS_REGISTRY))
+def test_one_gram_product_per_train_step(name, variant, monkeypatch):
+    # The table, the distances and recall@1 of a step all read one E E^T,
+    # and evaluate's ranks reuse the trained batch's. k-means keeps its own
+    # product, so its rows are passed uncounted.
+    spec, cfg, steps = SyntheticSpec(4, 4, 8, seed=3), LossConfig(margin=0.4), 3
+    expected = trainer.train(spec, name, cfg, steps, variant=variant)
+
+    def counted(embeddings, labels, samples_per_class):
+        return LabeledBatch(embeddings.view(CountedRows), labels, samples_per_class)
+
+    def synthetic(spec):
+        batch = generate_synthetic(spec)
+        return counted(batch.embeddings, batch.labels, batch.samples_per_class)
+
+    monkeypatch.setattr(trainer, "LabeledBatch", counted)
+    monkeypatch.setattr(trainer, "generate_synthetic", synthetic)
+    kmeans = trainer._farthest_point_kmeans
+    monkeypatch.setattr(trainer, "_farthest_point_kmeans",
+                        lambda points, k: kmeans(points.view(np.ndarray), k))
+    CountedRows.products = 0
+    state = trainer.train(spec, name, cfg, steps, variant=variant)
+    assert state.history == expected.history
+    assert CountedRows.products == steps + 1  # the steps and the final loss
+    assert trainer.evaluate(state.embeddings) == trainer.evaluate(expected.embeddings)
+    assert CountedRows.products == steps + 1
 
 
 def test_zero_gradient_when_hinges_off():

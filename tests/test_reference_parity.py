@@ -17,7 +17,8 @@ must give every GridResult field bit for bit, ties included. The loss
 references compute each loss's value, then rebuild its distances, mining and
 multi-similarity weights for the gradient; the one-pass steps, which read
 them from the value pass, must give every total, term and gradient bit for
-bit.
+bit. The recall reference forms a fresh E E^T per call; recall and evaluate,
+which read the batch's cached Gram matrix, must agree with it bit for bit.
 """
 
 import dataclasses
@@ -506,7 +507,7 @@ def test_solvers_match_reference_on_batches(shape, concentration):
         batch = generate_synthetic(spec)
         table = optimal_distance_table(batch)
         i, j, k, l = table.combos.T
-        g = table.gram
+        g = batch.gram
         dots = (g[i, j], g[k, l], g[i, k], g[i, l], g[j, k], g[j, l])
         assert_same_fields(vectorized._solve_arc_core(*dots), _solve_arc_core(*dots))
         rows = [batch.embeddings[table.combos[:, col]] for col in range(4)]
@@ -653,10 +654,10 @@ def _arc_adjoint_blocks(sol, sel, cross) -> np.ndarray:
     return blocks
 
 
-def table_cross(table):
-    """The cross dots of a table's rows, gathered from its Gram matrix as the solve gathers them."""
+def table_cross(table, batch):
+    """The cross dots of a table's rows, gathered from its batch's Gram matrix as the solve does."""
     i, j, k, l = table.combos.T
-    gram = table.gram
+    gram = batch.gram
     return np.stack([gram[i, k], gram[i, l], gram[j, k], gram[j, l]], axis=1)
 
 
@@ -676,8 +677,9 @@ def adjoint_solutions(kind):
                 for seed in range(3):
                     spec = SyntheticSpec(classes, per_class, dim, concentration=concentration,
                                          seed=seed)
-                    table = optimal_distance_table(generate_synthetic(spec))
-                    yield table.solution, table_cross(table)
+                    batch = generate_synthetic(spec)
+                    table = optimal_distance_table(batch)
+                    yield table.solution, table_cross(table, batch)
     elif kind == "degenerate":
         for dim in (3, 8, 64):
             yield stack_solution(*degenerate_stacks(np.random.default_rng(dim), 300, dim))
@@ -719,8 +721,8 @@ def test_optimal_distance_grad_stack_matches_reference_on_row_subset(shape):
         assert 0 < len(sel) < len(weights)
         ref = np.zeros((n, n))
         rows = table.combos[sel]
-        np.add.at(ref, (rows[:, :, None], rows[:, None, :]),
-                  weights[sel][:, None, None] * _arc_adjoint_blocks(sol, sel, table_cross(table)))
+        blocks = _arc_adjoint_blocks(sol, sel, table_cross(table, batch))
+        np.add.at(ref, (rows[:, :, None], rows[:, None, :]), weights[sel][:, None, None] * blocks)
         new = gradients.optimal_distance_grad_stack(n, table.combos, sol, weights)
         assert np.max(np.abs(new - ref)) <= 1e-13 * np.max(np.abs(ref))
         emb = batch.embeddings
@@ -1154,3 +1156,47 @@ def test_loss_steps_match_reference(shape):
                     assert value_fn(*args, cfg).total == loss.total
                     via_name = gradients.loss_and_grad(name, batch, cfg, variant)
                     assert np.array_equal(via_name[1], grad), (name, variant)
+
+
+# -- recall chords -----------------------------------------------------------
+
+
+def _sq_chords(batch: LabeledBatch) -> np.ndarray:
+    """(B, B) squared chords 2 - 2 e_i.e_j, clipped at 0, with inf on the diagonal."""
+    if batch.batch_size < 2:
+        raise ValueError("need at least 2 samples")
+    d_sq = batch.embeddings @ batch.embeddings.T
+    d_sq *= -2.0
+    d_sq += 2.0
+    np.maximum(d_sq, 0.0, out=d_sq)
+    d_sq.flat[:: batch.batch_size + 1] = np.inf
+    return d_sq
+
+
+def reference_chord_recall(batch, k):
+    """recall@k from fresh chords: the first neighbour for k = 1, else the stable ranks."""
+    d_sq = _sq_chords(batch)
+    if k == 1:
+        return float(np.mean(batch.labels[np.argmin(d_sq, axis=1)] == batch.labels))
+    labels = batch.labels
+    same = np.where(labels[:, None] == labels[None, :], d_sq, np.inf)
+    nearest = np.argmin(same, axis=1)[:, None]
+    d_star = np.take_along_axis(same, nearest, axis=1)
+    earlier = np.arange(batch.batch_size)[None, :] < nearest
+    rank = np.count_nonzero(np.where(earlier, d_sq <= d_star, d_sq < d_star), axis=1)
+    return float(np.mean(np.where(np.isfinite(d_star[:, 0]), rank, np.inf) < k))
+
+
+@pytest.mark.parametrize("shape", list(STEP_SHAPES), ids=list(STEP_SHAPES))
+def test_recall_chords_match_reference(shape):
+    # Recall reads the batch's one Gram matrix: first on a fresh batch, then
+    # after a loss step has read it too.
+    classes, per_class, dim = STEP_SHAPES[shape]
+    ks = (1, 2, 4, 8)
+    for batch in step_batches(classes, per_class, dim):
+        expected = {k: reference_chord_recall(batch, k) for k in ks}
+        for _ in range(2):
+            assert np.array_equal(batch.sq_chords(np.inf), _sq_chords(batch))
+            assert {k: recall_at_k(batch, k) for k in ks} == expected
+            assert evaluate(batch, ks).recall_at_k == expected
+            gradients.loss_and_grad("loop_triplet", batch, LossConfig())

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hardneg import (
+    ArcProblem,
     DegenerateSegment,
     HardNegError,
+    NonFiniteInput,
     SegmentProblem,
     grid_min_segment,
     optimal_segment_distance,
@@ -182,3 +186,21 @@ def test_stack_rejects_non_finite(rng):
         pts_bad[2, 0, 1] = bad
         with pytest.raises(HardNegError):
             solve_segment_stack(pts_bad[:, 0], pts_bad[:, 1], pts_bad[:, 2], pts_bad[:, 3])
+
+
+def test_handled_overflows_warn_nothing():
+    # Each input overflows on the way to a check that rejects it, or in a
+    # candidate slot that a collapsed side rules out; none may warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, points in (
+            (ArcProblem.from_endpoints, ([1e200, 1e200], [1, 0], [0, 1], [1, 1])),
+            (SegmentProblem.from_endpoints, ([1e308, 0], [-1e308, 0], [0, 1], [1, 1])),
+            (SegmentProblem.from_endpoints, ([1e200, 1e200], [1, 0], [0, 1], [1, 1])),
+        ):
+            with pytest.raises(NonFiniteInput):
+                build(*points)
+        for points in (([0, 0, 0], [1, 0, 0], [0, 1, 0], [1e-160, 1, 0]),
+                       ([0, 1, 0], [1e-160, 1, 0], [0, 0, 0], [1, 0, 0])):
+            problem = SegmentProblem.from_endpoints(*points)
+            assert optimal_segment_distance(problem).distance == 1.0
