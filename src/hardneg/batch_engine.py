@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import InvalidBatchShape, NoNegatives, NonFiniteInput, OddClassCount
 from .vectorized import solve_arc_gram, solve_segment_gram
-# The row solvers are re-exported: callers reach them through this module.
+# The row solvers are not called here; they stay as attributes of this module
+# for perfbench to wrap.
 from .vectorized import solve_arc_stack, solve_segment_stack  # noqa: F401
 
 # Table variants: negatives on the great-circle arc or on the chord segment of a pair.
@@ -132,19 +133,18 @@ def combination_count(batch_size: int, samples_per_class: int) -> int:
 class OptimalDistanceTable:
     """Per-combination optimal distances and their per-pair minima.
 
-    combos holds rows (i, j, k, l) in lexicographic order and pair_positions
-    the two positive pairs of each row; solution is the stacked solver
-    output aligned with combos, kept for gradient formation. Every table
-    is solved from the batch's Gram matrix, so its rows must be unit (the
-    Gram dots assume |e| = 1), and holds no per-row embedding copies.
+    combos holds rows (i, j, k, l) in lexicographic order; solution is the
+    stacked solver output aligned with combos, kept for gradient formation.
+    Every table is solved from the batch's Gram matrix, so its rows must be
+    unit (the Gram dots assume |e| = 1), and holds no per-row embedding
+    copies.
     pair_distances is the (P, P) optimal distance between positive pairs
     (+inf within a class and on the diagonal) and nearest the first row
-    attaining each pair's minimum. The dict views positive_pairs,
-    per_combination and per_pair_min are built on first read.
+    attaining each pair's minimum. The dict view per_combination is built
+    on first read.
     """
 
     combos: np.ndarray
-    pair_positions: np.ndarray  # (C, 2) indices into pairs
     distances: np.ndarray
     variant: str
     solution: object = field(repr=False)
@@ -163,19 +163,8 @@ class OptimalDistanceTable:
         return self.pair_distances[np.ix_(pair_of, pair_of)]
 
     @cached_property
-    def positive_pairs(self) -> list:
-        return list(zip(self.pairs.idx1.tolist(), self.pairs.idx2.tolist()))
-
-    @cached_property
     def per_combination(self) -> dict:
         return dict(zip(map(tuple, self.combos.tolist()), self.distances.tolist()))
-
-    @cached_property
-    def per_pair_min(self) -> dict:
-        # Keyed in order of first appearance in the rows, as a scan inserts them.
-        minima = self.pair_min.tolist()
-        order = dict.fromkeys(self.pair_positions.ravel().tolist())
-        return {self.positive_pairs[p]: minima[p] for p in order}
 
 
 def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> OptimalDistanceTable:
@@ -216,7 +205,6 @@ def optimal_distance_table(batch: LabeledBatch, variant: str = "arc") -> Optimal
     nearest = row_of[np.arange(n_pairs), np.argmin(pair_distances, axis=1)]
     return OptimalDistanceTable(
         combos=combos,
-        pair_positions=np.stack([p, q], axis=1),
         distances=distances,
         variant=variant,
         solution=solution,

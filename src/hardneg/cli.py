@@ -339,13 +339,17 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+# Cells per side of the objective heat map in the cases figure.
+_SVG_GRID = 80
+
+
 def _svg_color(value: float) -> str:
     """Map a normalized objective value in [0, 1] to a blue-to-white ramp."""
     level = int(round(255 * min(max(value, 0.0), 1.0)))
     return f"rgb({level},{level},255)"
 
 
-def render_cases_svg(problem: ArcProblem, grid: int = 80) -> str:
+def render_cases_svg(problem: ArcProblem) -> str:
     """SVG of the objective over the feasible box with all case candidates.
 
     Feasible candidates are filled, infeasible outlined, the winner ringed;
@@ -359,9 +363,9 @@ def render_cases_svg(problem: ArcProblem, grid: int = 80) -> str:
     a0 = max(problem.alpha0, 1e-6)
     b0 = max(problem.beta0, 1e-6)
     size, margin = 420, 45
-    cell = size / grid
-    al = (np.arange(grid) + 0.5) * a0 / grid
-    be = (np.arange(grid) + 0.5) * b0 / grid
+    cell = size / _SVG_GRID
+    al = (np.arange(_SVG_GRID) + 0.5) * a0 / _SVG_GRID
+    be = (np.arange(_SVG_GRID) + 0.5) * b0 / _SVG_GRID
     co = problem.coeffs
     values = objective(co.a, co.b, co.c, co.d, np.sin(al)[:, None], np.cos(al)[:, None],
                        np.sin(be), np.cos(be))
@@ -379,8 +383,8 @@ def render_cases_svg(problem: ArcProblem, grid: int = 80) -> str:
         f'height="{size + 2 * margin}" viewBox="0 0 {size + 2 * margin} {size + 2 * margin}">',
         f'<rect x="0" y="0" width="{size + 2 * margin}" height="{size + 2 * margin}" fill="white"/>',
     ]
-    for i in range(grid):
-        for j in range(grid):
+    for i in range(_SVG_GRID):
+        for j in range(_SVG_GRID):
             shade = _svg_color((values[i, j] - lo) / span)
             parts.append(
                 f'<rect x="{margin + i * cell:.2f}" y="{margin + size - (j + 1) * cell:.2f}" '

@@ -11,8 +11,9 @@ times E; an arc row's 4x4 block of it comes in closed form from the solve's
 (a, b, c, d) and the winning angles, with no second pass over the dots.
 
 Each gradient reads the arrays its loss's value pass kept on the LossValue
-(distances, active hinge terms, mined samples, multi-similarity weights and
-the normalizer), so one loss step computes each of them once.
+(distances, active hinge terms, mined samples, multi-similarity weights, the
+normalizer and, for an optimal negative, the table), so one loss step
+computes each of them once.
 
 Hinge subgradients at the kink are taken as 0 (terms contribute only when
 strictly positive).
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# build_pairs, pairwise, ms_mining and loop_ms_mining are re-exported.
+# Nothing here calls build_pairs, pairwise, ms_mining or loop_ms_mining; they
+# stay as attributes of this module for perfbench to wrap.
 from .batch_engine import VARIANTS, LabeledBatch, build_pairs, optimal_distance_table  # noqa: F401
 from .losses import (  # noqa: F401
     LossConfig,
@@ -176,95 +178,67 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     return blocks
 
 
-def _hinge_step(loss, batch: LabeledBatch, table=None):
-    """(loss, gradient) of a hinge loss from the arrays its value pass kept.
+def _hinge_step(loss, batch: LabeledBatch) -> np.ndarray:
+    """Gradient of a hinge loss from the arrays its value pass kept.
 
     Every active term adds its positive distance and subtracts its negative
-    one: a mined sample's distance or, with a table, its row's optimal
-    distance.
+    one: a mined sample's distance or, when the loss kept a table, its
+    row's optimal distance.
     """
-    emb, n, active = batch.embeddings, batch.batch_size, loss.active
+    emb, n, active, table = batch.embeddings, batch.batch_size, loss.active, loss.table
     weights, m = _square(n, *loss.positive, active), None
     if table is None:
         weights -= _square(n, *loss.negative, active)
     else:
         rows = np.bincount(loss.negative[active], minlength=len(table.combos))
         m = optimal_distance_grad_stack(n, table.combos, table.solution, rows)
-    return loss, chord_grad(emb, loss.dist, weights, m) / loss.norm
+    return chord_grad(emb, loss.dist, weights, m) / loss.norm
 
 
-def _ms_step(loss, batch: LabeledBatch):
-    """(loss, gradient) of multi-similarity: W E + W^T E, the mined sets frozen."""
+def _ms_step(loss, batch: LabeledBatch) -> np.ndarray:
+    """Gradient of multi-similarity: W E + W^T E, the mined sets frozen."""
     emb = batch.embeddings
-    return loss, (loss.weights @ emb + loss.weights.T @ emb) / loss.norm
+    return (loss.weights @ emb + loss.weights.T @ emb) / loss.norm
 
 
-def triplet_grad(batch: LabeledBatch, config: LossConfig):
-    return _hinge_step(_triplet_loss(batch, config), batch)
-
-
-def loop_triplet_grad(batch: LabeledBatch, table, config: LossConfig):
-    return _hinge_step(loop_triplet(batch, table, config), batch, table)
-
-
-def hphn_grad(batch: LabeledBatch, config: LossConfig):
-    return _hinge_step(_hphn_loss(batch, config), batch)
-
-
-def loop_hphn_grad(batch: LabeledBatch, table, config: LossConfig):
-    return _hinge_step(loop_hphn(batch, table, config), batch, table)
-
-
-def ls_grad(batch: LabeledBatch, config: LossConfig):
-    return _hinge_step(_ls_loss(batch, config), batch)
-
-
-def loop_ls_grad(batch: LabeledBatch, table, config: LossConfig):
-    return _hinge_step(loop_ls(batch, table, config), batch, table)
-
-
-def ms_grad(batch: LabeledBatch, config: LossConfig):
-    return _ms_step(_ms_loss(batch, config), batch)
-
-
-def loop_ms_grad(batch: LabeledBatch, table, config: LossConfig):
-    return _ms_step(loop_ms(batch, table, config), batch)
-
-
-# Losses available to the trainer: name -> (needs table, value, (value, gradient)).
+# Losses available to the trainer: name -> (needs table, value function, step).
+# Value functions are named, not held, and read from this module at call time,
+# so a wrapper set on the module attribute (as perfbench's tracer sets them)
+# is the one each step calls.
 LOSS_REGISTRY = {
-    "triplet": (False, _triplet_loss, triplet_grad),
-    "loop_triplet": (True, loop_triplet, loop_triplet_grad),
-    "hphn_triplet": (False, _hphn_loss, hphn_grad),
-    "loop_hphn": (True, loop_hphn, loop_hphn_grad),
-    "lifted_structure": (False, _ls_loss, ls_grad),
-    "loop_ls": (True, loop_ls, loop_ls_grad),
-    "ms": (False, _ms_loss, ms_grad),
-    "loop_ms": (True, loop_ms, loop_ms_grad),
+    "triplet": (False, "_triplet_loss", _hinge_step),
+    "loop_triplet": (True, "loop_triplet", _hinge_step),
+    "hphn_triplet": (False, "_hphn_loss", _hinge_step),
+    "loop_hphn": (True, "loop_hphn", _hinge_step),
+    "lifted_structure": (False, "_ls_loss", _hinge_step),
+    "loop_ls": (True, "loop_ls", _hinge_step),
+    "ms": (False, "_ms_loss", _ms_step),
+    "loop_ms": (True, "loop_ms", _ms_step),
 }
 
 
-def _lookup(name: str, batch: LabeledBatch, variant: str):
-    """A loss's value and gradient functions and their leading arguments."""
+def _value(name: str, batch: LabeledBatch, config: LossConfig, variant: str):
+    """A loss's LossValue, its table built first when it needs one, and its step."""
     if name not in LOSS_REGISTRY:
         raise ValueError(f"unknown loss {name!r}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    needs_table, value_fn, grad_fn = LOSS_REGISTRY[name]
-    args = (batch, optimal_distance_table(batch, variant=variant)) if needs_table else (batch,)
-    return value_fn, grad_fn, args
+    needs_table, value_name, step = LOSS_REGISTRY[name]
+    value_fn = globals()[value_name]
+    if needs_table:
+        return value_fn(batch, optimal_distance_table(batch, variant=variant), config), step
+    return value_fn(batch, config), step
 
 
 def loss_and_grad(name: str, batch: LabeledBatch, config: LossConfig, variant="arc"):
     """Evaluate a loss by name, returning (LossValue, gradient)."""
-    _, grad_fn, args = _lookup(name, batch, variant)
-    return grad_fn(*args, config)
+    loss, step = _value(name, batch, config, variant)
+    return loss, step(loss, batch)
 
 
 def evaluate_loss(name: str, batch: LabeledBatch, config: LossConfig, variant="arc") -> float:
     """Loss value only; used by the finite-difference oracle."""
-    value_fn, _, args = _lookup(name, batch, variant)
-    return value_fn(*args, config).total
+    return _value(name, batch, config, variant)[0].total
 
 
 def project_tangent(embeddings: np.ndarray, grads: np.ndarray) -> np.ndarray:

@@ -72,7 +72,8 @@ class LossValue:
     (B, B) distances dist, the divisor norm of the total, the strictly
     positive hinge terms active (shaped like the terms before masking), the
     (anchors, samples) of each term's positive and negative distance, or
-    for an optimal negative its table row, and the multi-similarity weights.
+    for an optimal negative its table row, the multi-similarity weights, and
+    the table of a loss with optimal negatives.
     """
 
     total: float
@@ -84,6 +85,7 @@ class LossValue:
     positive: tuple | None = field(default=None, repr=False, compare=False)
     negative: tuple | None = field(default=None, repr=False, compare=False)
     weights: np.ndarray | None = field(default=None, repr=False, compare=False)
+    table: OptimalDistanceTable | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def per_term(self) -> tuple:
@@ -159,7 +161,8 @@ def loop_triplet(
 
     rows = np.repeat(np.arange(len(values)), 2).reshape(values.shape)  # each side's own row
     return _finish(hinge(values.ravel()), keys, batch, config,
-                   dist=dist, active=values > 0.0, positive=(heads, tails), negative=rows)
+                   dist=dist, active=values > 0.0, positive=(heads, tails), negative=rows,
+                   table=table)
 
 
 def hardest(dist, labels, pairs: PairSet, positive: bool):
@@ -204,7 +207,7 @@ def loop_hphn(
     dist, _ = pairwise(batch)
     hp = hardest(dist, batch.labels, table.pairs, positive=True)
     return _pair_terms(hp[0] + config.margin - table.pair_min, table.pairs, batch, config,
-                       dist=dist, positive=hp[1:], negative=table.nearest)
+                       dist=dist, positive=hp[1:], negative=table.nearest, table=table)
 
 
 def lifted_structure(batch: LabeledBatch, config: LossConfig) -> LossValue:
@@ -226,7 +229,8 @@ def loop_ls(
     pairs = table.pairs
     d_pos = dist[pairs.idx1, pairs.idx2]
     return _pair_terms(d_pos + config.margin - table.pair_min, pairs, batch, config,
-                       dist=dist, positive=(pairs.idx1, pairs.idx2), negative=table.nearest)
+                       dist=dist, positive=(pairs.idx1, pairs.idx2), negative=table.nearest,
+                       table=table)
 
 
 def ms_masks(labels, sim, config: LossConfig, table: OptimalDistanceTable | None = None):
@@ -299,7 +303,7 @@ def _ms_value(batch, config, table=None) -> LossValue:
     _require_negatives(batch)
     _, sim = pairwise(batch)
     terms, weights = ms_weighting(sim, *ms_masks(batch.labels, sim, config, table), config)
-    return _finish(terms, lambda: range(len(terms)), batch, config, weights=weights)
+    return _finish(terms, lambda: range(len(terms)), batch, config, weights=weights, table=table)
 
 
 def ms_loss(batch: LabeledBatch, config: LossConfig) -> LossValue:

@@ -10,7 +10,7 @@ that property through per-class PCA eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,8 +26,9 @@ DEFAULT_CONCENTRATION = 2.5
 
 DEFAULT_LEARNING_RATE = 0.05
 
-# Seed for the deterministic k-means behind NMI / F1.
+# Seed and iteration cap of the deterministic k-means behind NMI / F1.
 _KMEANS_SEED = 0
+_KMEANS_MAX_ITER = 100
 
 # Gram-form squared distances carry rounding of a few ulps of the squared
 # norms; k-means candidates closer than this share of the largest squared
@@ -166,8 +167,7 @@ def _farthest(approx: np.ndarray, tol: float, exact) -> int:
     return int(rows[np.argmax(exact(rows))]) if rows.size > 1 else int(rows[0])
 
 
-def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
-                           max_iter: int = 100) -> np.ndarray:
+def _farthest_point_kmeans(points: np.ndarray, k: int) -> np.ndarray:
     """Deterministic Lloyd k-means with farthest-point initialization.
 
     k is capped at the number of distinct rows: seeding stops once every
@@ -185,7 +185,7 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
     sq_norms = np.einsum("ij,ij->i", points, points)
     # |x - c|^2 <= 4 max |x|^2; Gram-form rounding is many orders below this.
     tol = _TIE_RTOL * 4.0 * sq_norms.max()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_KMEANS_SEED)
     chosen = [int(rng.integers(n))]
     pairwise = _sq_distances(points, sq_norms, points)
     d_min = pairwise[chosen[0]]
@@ -194,7 +194,7 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
             _explicit_distances(points[rows], points[chosen]), axis=1))
         if d_min[nxt] <= tol and np.any(np.all(points[chosen] == points[nxt], axis=1)):
             # Every row repeats a seed. Past the distinct rows, clusters
-            # would stay empty and reseeding them would cycle until max_iter.
+            # would stay empty and reseeding them would cycle until _KMEANS_MAX_ITER.
             break
         chosen.append(nxt)
         d_min = np.minimum(d_min, pairwise[nxt])
@@ -202,7 +202,7 @@ def _farthest_point_kmeans(points: np.ndarray, k: int, seed: int = _KMEANS_SEED,
     k = len(centers)
     assign = np.zeros(n, dtype=int)
     columns = np.arange(dim)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         new_assign, sq = _nearest_centers(points, sq_norms, centers, tol)
         counts = np.bincount(new_assign, minlength=k)
         if np.all(counts):
@@ -308,13 +308,7 @@ def train(
     final entry at index `steps` for the post-update table.
     """
     if seed is not None:
-        spec = SyntheticSpec(
-            num_classes=spec.num_classes,
-            samples_per_class=spec.samples_per_class,
-            dimension=spec.dimension,
-            concentration=spec.concentration,
-            seed=seed,
-        )
+        spec = replace(spec, seed=seed)
     batch = generate_synthetic(spec)
     state = TrainState(embeddings=batch, step=0, learning_rate=learning_rate)
     for step in range(steps):
@@ -323,6 +317,7 @@ def train(
             raise DivergenceDetected(f"loss became {loss.total} at step {step}")
         state.history.append((step, loss.total, recall_at_k(state.embeddings, 1)))
         emb = state.embeddings.embeddings - learning_rate * grad
+        del loss, grad  # the step's table and arrays go before the next step builds its own
         norms = np.linalg.norm(emb, axis=1, keepdims=True)
         if np.any(~np.isfinite(norms)) or np.any(norms <= 1e-12):
             raise DivergenceDetected(f"embedding norms collapsed at step {step}")

@@ -79,13 +79,19 @@ def test_single_class_table_rejected():
         optimal_distance_table(make_batch(["A", "A", "A", "A"]))
 
 
+def pair_minima(table):
+    """Each positive pair's minimum optimal distance, keyed (i, j)."""
+    keys = zip(table.pairs.idx1.tolist(), table.pairs.idx2.tolist())
+    return dict(zip(keys, table.pair_min.tolist()))
+
+
 def test_shared_endpoint_across_classes():
     shared = np.array([1.0, 0, 0])
     emb = np.stack([shared, [0, 1, 0], shared, [0, 0, 1]])
     batch = LabeledBatch.from_arrays(emb, np.array(["A", "A", "B", "B"]))
     table = optimal_distance_table(batch)
-    assert table.per_pair_min[(0, 1)] < 1e-9
-    assert table.per_pair_min[(2, 3)] < 1e-9
+    assert pair_minima(table)[(0, 1)] < 1e-9
+    assert pair_minima(table)[(2, 3)] < 1e-9
 
 
 def test_orthogonal_planes_constant_distance():
@@ -94,7 +100,7 @@ def test_orthogonal_planes_constant_distance():
         np.stack([e[0], e[1], e[2], e[3]]), np.array([0, 0, 1, 1])
     )
     table = optimal_distance_table(batch)
-    assert abs(table.per_pair_min[(0, 1)] - math.sqrt(2)) < 1e-9
+    assert abs(pair_minima(table)[(0, 1)] - math.sqrt(2)) < 1e-9
 
 
 def test_per_pair_min_below_endpoint_distances(rng):
@@ -106,7 +112,7 @@ def test_per_pair_min_below_endpoint_distances(rng):
             np.linalg.norm(emb[a] - emb[b]) for a in (i, j) for b in (k, l)
         )
         assert dist <= endpoint_min + 1e-9
-    for (i, j), dmin in table.per_pair_min.items():
+    for (i, j), dmin in pair_minima(table).items():
         combo_dists = [
             d for key, d in table.per_combination.items()
             if (key[0], key[1]) == (i, j) or (key[2], key[3]) == (i, j)
@@ -128,7 +134,7 @@ def test_identical_embeddings_across_classes(rng):
     emb[2] = emb[0]  # a maximally hard negative
     batch = LabeledBatch.from_arrays(emb, np.array([0, 0, 1, 1]))
     table = optimal_distance_table(batch)
-    assert table.per_pair_min[(0, 1)] < 1e-9
+    assert pair_minima(table)[(0, 1)] < 1e-9
 
 
 def test_label_permutation_equivariance(rng):

@@ -232,6 +232,64 @@ def test_one_pass_per_loss_step(name, monkeypatch):
     assert calls["chord_grad"] == 0
 
 
+LOOP_LOSSES = [name for name in sorted(LOSS_REGISTRY) if name.startswith("loop_")]
+# The names the registry rows read their value functions by.
+VALUE_ALIASES = {
+    "triplet": "_triplet_loss", "loop_triplet": "loop_triplet",
+    "hphn_triplet": "_hphn_loss", "loop_hphn": "loop_hphn",
+    "lifted_structure": "_ls_loss", "loop_ls": "loop_ls",
+    "ms": "_ms_loss", "loop_ms": "loop_ms",
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("name", LOOP_LOSSES)
+def test_loop_loss_value_keeps_its_table(name, variant, monkeypatch):
+    # The step's one table rides on its LossValue, equal to a fresh build.
+    batch = random_batch(np.random.default_rng(8), num_classes=4, per_class=4, dim=8)
+    built = []
+
+    def counted(batch, variant="arc"):
+        built.append(optimal_distance_table(batch, variant=variant))
+        return built[-1]
+
+    monkeypatch.setattr(gradients, "optimal_distance_table", counted)
+    loss, _ = loss_and_grad(name, batch, LossConfig(margin=0.4), variant)
+    assert len(built) == 1 and loss.table is built[0]
+    fresh = optimal_distance_table(batch, variant)
+    assert loss.table.variant == variant
+    assert np.array_equal(loss.table.combos, fresh.combos)
+    assert np.array_equal(loss.table.distances, fresh.distances)
+    assert np.array_equal(loss.table.solution.case_id, fresh.solution.case_id)
+
+
+@pytest.mark.parametrize("name", sorted(set(LOSS_REGISTRY) - set(LOOP_LOSSES)))
+def test_plain_loss_value_keeps_no_table(name):
+    batch = random_batch(np.random.default_rng(8), num_classes=4, per_class=4, dim=8)
+    assert loss_and_grad(name, batch, LossConfig(margin=0.4))[0].table is None
+
+
+@pytest.mark.parametrize("name", sorted(LOSS_REGISTRY))
+def test_value_functions_read_at_call_time(name, monkeypatch):
+    # A wrapper set on the gradients attribute is the one both entry points
+    # call, as a tracer's wrappers must be.
+    calls = Counter()
+    alias = VALUE_ALIASES[name]
+    original = getattr(gradients, alias)
+
+    def wrapper(*args, **kwargs):
+        calls[alias] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gradients, alias, wrapper)
+    batch = random_batch(np.random.default_rng(9), num_classes=4, per_class=4, dim=8)
+    cfg = LossConfig(margin=0.4)
+    loss, _ = loss_and_grad(name, batch, cfg)
+    assert calls == {alias: 1}
+    assert evaluate_loss(name, batch, cfg) == loss.total
+    assert calls == {alias: 2}
+
+
 class CountedRows(np.ndarray):
     """Embedding rows that count the products E E^T formed from them."""
 

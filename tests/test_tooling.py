@@ -5,6 +5,7 @@ stacked solvers batch_engine re-exports, the loss aliases in gradients), so
 a rename or deletion there breaks the benchmark before any timing runs.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,16 @@ def test_perfbench_seams_exist(monkeypatch):
         session.install()
     finally:
         session.uninstall()
+
+
+def test_import_stays_light():
+    # A fresh `import hardneg` is most of perfbench's setup_s; the CLI and
+    # argparse load only when the command line runs.
+    probe = "import sys, hardneg; print('hardneg.cli' in sys.modules, 'argparse' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "False"]
