@@ -17,8 +17,9 @@ import math
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -73,29 +74,13 @@ MAX_LEARNING_RATE = 1e6
 SPEC_INTEGERS = ("num_classes", "samples_per_class", "dimension", "seed")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written next to any file outputs."""
-
-    command: str
-    config_path: str
-    out_dir: str
-    seed: int | None
-    timestamp: str
-    version: str = __version__
-
-
 def _write_manifest(command, config_path, out_dir, seed):
+    """Create out_dir and write the reproducibility record next to its file outputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(
-        command=command,
-        config_path=str(config_path),
-        out_dir=str(out),
-        seed=seed,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    _emit(asdict(manifest), out / "manifest.json")
+    _emit({"command": command, "config_path": str(config_path), "out_dir": str(out),
+           "seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
+           "version": __version__}, out / "manifest.json")
     return out
 
 
@@ -139,39 +124,32 @@ def _variant_problem(points, variant):
     return ArcProblem.from_endpoints(*points), optimal_arc_distance, grid_min_arc
 
 
+def _instance_command(args, command, payload_fn, filename) -> int:
+    """Print payload_fn(points, variant) of the instance; with --out-dir, also store it."""
+    points, instance_variant = _load_instance(args.instance)
+    payload = payload_fn(points, args.variant or instance_variant)
+    _emit(payload)
+    if args.out_dir:
+        out = _write_manifest(command, args.instance, args.out_dir, args.seed)
+        _emit(payload, out / filename)
+    return 0
+
+
 def _solve_payload(points, variant):
     problem, solve, _ = _variant_problem(points, variant)
     sol = solve(problem)
     if variant == "segment":
-        return {
-            "variant": "segment",
-            "case_id": int(sol.case_id),
-            "k1": float(sol.k1),
-            "k2": float(sol.k2),
-            "p1": sol.p1.tolist(),
-            "p2": sol.p2.tolist(),
-            "distance": float(sol.distance),
-        }
-    return {
-        "variant": "arc",
-        "case_id": int(sol.candidate.case_id),
-        "alpha": float(sol.candidate.alpha),
-        "beta": float(sol.candidate.beta),
-        "p1": sol.p1.tolist(),
-        "p2": sol.p2.tolist(),
-        "distance": float(sol.distance),
-    }
+        case_id, params = sol.case_id, {"k1": sol.k1, "k2": sol.k2}
+    else:
+        case = sol.candidate
+        case_id, params = case.case_id, {"alpha": case.alpha, "beta": case.beta}
+    return {"variant": variant, "case_id": int(case_id),
+            **{name: float(value) for name, value in params.items()},
+            "p1": sol.p1.tolist(), "p2": sol.p2.tolist(), "distance": float(sol.distance)}
 
 
 def cmd_solve(args) -> int:
-    points, instance_variant = _load_instance(args.instance)
-    variant = args.variant or instance_variant
-    payload = _solve_payload(points, variant)
-    _emit(payload)
-    if args.out_dir:
-        out = _write_manifest("solve", args.instance, args.out_dir, args.seed)
-        _emit(payload, out / "solution.json")
-    return 0
+    return _instance_command(args, "solve", _solve_payload, "solution.json")
 
 
 def _oracle_payload(points, variant, resolution):
@@ -226,19 +204,28 @@ def _run_sweep(args) -> int:
     return 0
 
 
+def _check_oracle_args(args) -> None:
+    """Reject bad oracle flags before any grid is built or file written."""
+    if args.sweep < 0:
+        raise ParseError(f"--sweep must be nonnegative, got {args.sweep}")
+    if args.sweep and not args.out_dir:
+        raise ParseError("--sweep requires --out-dir")
+    if args.sweep and args.seed < 0:
+        raise ParseError(f"--seed of a sweep must be nonnegative, got {args.seed}")
+    try:
+        check_resolution(args.resolution)
+    except ValueError as exc:
+        raise ParseError(f"--resolution: {exc}") from exc
+
+
 def cmd_oracle(args) -> int:
+    _check_oracle_args(args)
     if args.sweep:
         return _run_sweep(args)
     if not args.instance:
         raise ParseError("oracle needs an instance file or --sweep N")
-    points, instance_variant = _load_instance(args.instance)
-    variant = args.variant or instance_variant
-    payload = _oracle_payload(points, variant, args.resolution)
-    _emit(payload)
-    if args.out_dir:
-        out = _write_manifest("oracle", args.instance, args.out_dir, args.seed)
-        _emit(payload, out / "oracle.json")
-    return 0
+    payload_fn = partial(_oracle_payload, resolution=args.resolution)
+    return _instance_command(args, "oracle", payload_fn, "oracle.json")
 
 
 def _config_int(value, name):
@@ -422,7 +409,9 @@ def render_cases_svg(problem: ArcProblem) -> str:
 
 
 def cmd_cases(args) -> int:
-    points, _ = _load_instance(args.instance)
+    points, variant = _load_instance(args.instance)
+    if variant != "arc":  # the figure is drawn in the arcs' angle space
+        raise ParseError(f"cases draws arc instances only; {args.instance} is a {variant} instance")
     problem = ArcProblem.from_endpoints(*points)
     svg = render_cases_svg(problem)
     if args.out_dir:
@@ -435,8 +424,15 @@ def cmd_cases(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ParseError, so they print a JSON error and exit 2."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="hardneg",
         description="Optimal hard-negative distances between arcs or segments",
     )
@@ -473,11 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.command == "oracle":
-            _check_oracle_args(args)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except INPUT_ERRORS as exc:
         _error_payload(exc)
@@ -485,20 +478,6 @@ def main(argv=None) -> int:
     except HardNegError as exc:
         _error_payload(exc)
         return 1
-
-
-def _check_oracle_args(args) -> None:
-    """Reject bad oracle flags before any grid is built or file written."""
-    if args.sweep < 0:
-        raise ParseError(f"--sweep must be nonnegative, got {args.sweep}")
-    if args.sweep and not args.out_dir:
-        raise ParseError("--sweep requires --out-dir")
-    if args.sweep and args.seed < 0:
-        raise ParseError(f"--seed of a sweep must be nonnegative, got {args.seed}")
-    try:
-        check_resolution(args.resolution)
-    except ValueError as exc:
-        raise ParseError(f"--resolution: {exc}") from exc
 
 
 def _error_payload(exc) -> None:

@@ -51,8 +51,8 @@ class SyntheticSpec:
             raise ValueError(f"samples_per_class must be even, >= 2: {self.samples_per_class}")
         if self.dimension < 3:
             raise ValueError("dimension must be at least 3")
-        if not (np.isfinite(self.concentration) and self.concentration > 0):
-            raise ValueError(f"concentration must be positive and finite, got {self.concentration}")
+        if not 0 < self.concentration <= 1e9:  # keeps same-class rows far beyond EPS_SEGMENT apart
+            raise ValueError(f"concentration must lie in (0, 1e9], got {self.concentration}")
 
 
 @dataclass
@@ -82,19 +82,12 @@ def generate_synthetic(spec: SyntheticSpec) -> LabeledBatch:
     rng = np.random.default_rng(spec.seed)
     means = rng.normal(size=(spec.num_classes, spec.dimension))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    sigma = 1.0 / spec.concentration
-    rows = []
-    labels = []
-    for cls in range(spec.num_classes):
-        noise = rng.normal(size=(spec.samples_per_class, spec.dimension))
-        samples = means[cls][None, :] + sigma * noise
-        rows.append(samples)
-        labels.extend([cls] * spec.samples_per_class)
-    emb = np.concatenate(rows, axis=0)
+    noise = rng.normal(size=(spec.num_classes * spec.samples_per_class, spec.dimension))
+    emb = np.repeat(means, spec.samples_per_class, axis=0) + (1.0 / spec.concentration) * noise
     emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     return LabeledBatch(
         embeddings=emb,
-        labels=np.asarray(labels, dtype=int),
+        labels=np.repeat(np.arange(spec.num_classes), spec.samples_per_class),
         samples_per_class=spec.samples_per_class,
     )
 

@@ -103,12 +103,10 @@ class ArcSolution:
 
 @dataclass
 class ArcStackSolution(ArcSolution):
-    """An ArcSolution plus the optimal points and second basis vectors as rows."""
+    """An ArcSolution plus the optimal points as rows."""
 
     p1: np.ndarray
     p2: np.ndarray
-    n2x: np.ndarray
-    n2y: np.ndarray
 
 
 def _require_finite(*arrays) -> None:
@@ -294,13 +292,13 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
 
 
 def _arc_points(sol: ArcSolution, x1, x2, y1, y2, rows=slice(None)):
-    """Optimal points p1, p2 and second basis rows n2x, n2y of the given rows."""
+    """Optimal points p1, p2 of the given rows."""
     n2x = _second_basis(x1, x2, sol.dot_x[rows], sol.x_collapsed[rows])
     n2y = _second_basis(y1, y2, sol.dot_y[rows], sol.y_collapsed[rows])
     al, be = sol.alpha[rows][:, None], sol.beta[rows][:, None]
     p1 = x1 * np.cos(al) + n2x * np.sin(al)
     p2 = y1 * np.cos(be) + n2y * np.sin(be)
-    return p1, p2, n2x, n2y
+    return p1, p2
 
 
 def _row_dots(x1, x2, y1, y2):
@@ -316,9 +314,9 @@ def solve_arc_stack(x1, x2, y1, y2) -> ArcStackSolution:
     """Solve n arc problems given four (n, D) stacks of unit rows."""
     (x1, x2, y1, y2), dots = _row_dots(x1, x2, y1, y2)
     core = _solve_arc_core(*dots)
-    p1, p2, n2x, n2y = _arc_points(core, x1, x2, y1, y2)
+    p1, p2 = _arc_points(core, x1, x2, y1, y2)
     core.distance = np.linalg.norm(p1 - p2, axis=1)
-    return ArcStackSolution(**vars(core), p1=p1, p2=p2, n2x=n2x, n2y=n2y)
+    return ArcStackSolution(**vars(core), p1=p1, p2=p2)
 
 
 def solve_arc_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> ArcSolution:
@@ -332,7 +330,7 @@ def solve_arc_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> Arc
     sol = _solve_arc_core(gram[i, j], gram[k, l], gram[i, k], gram[i, l], gram[j, k], gram[j, l])
     near = np.flatnonzero(sol.distance < EXPLICIT_NORM_BELOW)
     if len(near):
-        p1, p2, _, _ = _arc_points(sol, *(emb[combos[near, col]] for col in range(4)), rows=near)
+        p1, p2 = _arc_points(sol, *(emb[combos[near, col]] for col in range(4)), rows=near)
         sol.distance[near] = np.linalg.norm(p1 - p2, axis=1)
     return sol
 

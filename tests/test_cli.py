@@ -3,8 +3,10 @@ import io
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -12,6 +14,8 @@ from hypothesis.extra.numpy import arrays
 from hardneg import batch_engine, cli, gradients
 from hardneg.cli import main
 from hardneg.gradients import LOSS_REGISTRY
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -259,6 +263,88 @@ def test_misspelled_instance_variant_is_input_error(tmp_path, capsys):
         assert "segmnet" in payload["message"]
 
 
+SOLVE_KEYS = {
+    "arc": ["variant", "case_id", "alpha", "beta", "p1", "p2", "distance"],
+    "segment": ["variant", "case_id", "k1", "k2", "p1", "p2", "distance"],
+}
+
+
+def test_solve_key_order_for_both_variants(tmp_path, capsys):
+    instance = write_instance(
+        tmp_path / "inst.json", ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0])
+    )
+    for variant, keys in SOLVE_KEYS.items():
+        code, out = run_cli(capsys, "solve", str(instance), "--variant", variant)
+        assert code == 0
+        assert list(json.loads(out)) == keys
+
+
+def test_manifest_keys(tmp_path, capsys):
+    instance = write_instance(
+        tmp_path / "inst.json", ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0])
+    )
+    out_dir = tmp_path / "run"
+    code, _ = run_cli(capsys, "oracle", str(instance), "--resolution", "5e-2",
+                      "--seed", "3", "--out-dir", str(out_dir))
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert list(manifest) == ["command", "config_path", "out_dir", "seed", "timestamp", "version"]
+    assert manifest["command"] == "oracle"
+    assert manifest["config_path"] == str(instance)
+    assert manifest["out_dir"] == str(out_dir)
+    assert manifest["seed"] == 3
+    assert manifest["version"] == cli.__version__
+
+
+def test_bad_command_line_is_json_parse_error(tmp_path, capsys):
+    # argparse used to print its usage on stderr and raise SystemExit(2),
+    # with nothing on stdout.
+    instance = write_instance(
+        tmp_path / "inst.json", ([1, 0, 0], [0, 1, 0], [0, 0, 1], [0.6, 0.8, 0])
+    )
+    for argv in (
+        ("solve",),
+        ("oracle", str(instance), "--resolution", "abc"),
+        ("bogus",),
+        ("solve", str(instance), "--variant", "segmnet"),
+        ("oracle", "--sweep", "two"),
+    ):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        payload = json.loads(captured.out)
+        assert list(payload) == ["error", "message"]
+        assert payload["error"] == "ParseError"
+        assert payload["message"].startswith("hardneg")
+        assert captured.err == ""
+
+
+def test_help_and_version_still_exit_zero(capsys):
+    for argv in (["--help"], ["solve", "--help"], ["--version"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert cli.__version__ in capsys.readouterr().out
+
+
+def test_cases_rejects_segment_instances(tmp_path, capsys):
+    # The figure lives in the arcs' angle space; a segment instance used to be
+    # drawn as the arc problem of its renormalized points (or fail as a
+    # DegenerateArc), without a word about the variant.
+    skewed = tmp_path / "skewed.json"
+    skewed.write_text(json.dumps({"variant": "segment", "x1": [2, 0.1, 0], "x2": [0, 3, 0.2],
+                                  "y1": [0.5, 0.5, 1], "y2": [1, -1, 2]}))
+    out_dir = tmp_path / "fig"
+    for instance in (skewed, ROOT / "configs" / "instance_segment.json"):
+        for argv in (("cases", str(instance)), ("cases", str(instance), "--out-dir", str(out_dir))):
+            code, out = run_cli(capsys, *argv)
+            assert code == 2
+            payload = json.loads(out)
+            assert payload["error"] == "ParseError"
+            assert "segment" in payload["message"]
+            assert not out_dir.exists()
+
+
 def _experiment_error(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
@@ -351,6 +437,16 @@ def test_experiment_non_finite_concentration(tmp_path, capsys):
     for value in (float("nan"), float("inf")):
         spec = dict(SMALL_SPEC, concentration=value)
         _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["triplet"], "steps": 1})
+
+
+def test_experiment_collapsing_concentration(tmp_path, capsys):
+    # Past about 1e12 a class's rows coincide within the segment solver's
+    # collapse length; a segment table then raised DegenerateSegment mid-run,
+    # after the manifest was written.
+    for value in (1e12, 1e300):
+        spec = {"num_classes": 3, "samples_per_class": 2, "dimension": 4, "concentration": value}
+        _experiment_error(tmp_path, capsys, {"spec": spec, "losses": ["loop_hphn"], "steps": 0,
+                                             "variant": "segment"})
 
 
 def test_experiment_rejects_bad_fields_before_the_manifest(tmp_path, capsys):

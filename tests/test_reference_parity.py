@@ -19,6 +19,8 @@ multi-similarity weights for the gradient; the one-pass steps, which read
 them from the value pass, must give every total, term and gradient bit for
 bit. The recall reference forms a fresh E E^T per call; recall and evaluate,
 which read the batch's cached Gram matrix, must agree with it bit for bit.
+The synthetic-data reference draws each class's noise in its own call; the
+single draw must give the same embeddings and labels bit for bit.
 """
 
 import dataclasses
@@ -1198,3 +1200,38 @@ def test_recall_chords_match_reference(shape):
             assert {k: recall_at_k(batch, k) for k in ks} == expected
             assert evaluate(batch, ks).recall_at_k == expected
             gradients.loss_and_grad("loop_triplet", batch, LossConfig())
+
+
+def reference_generate_synthetic(spec: SyntheticSpec) -> LabeledBatch:
+    rng = np.random.default_rng(spec.seed)
+    means = rng.normal(size=(spec.num_classes, spec.dimension))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    sigma = 1.0 / spec.concentration
+    rows = []
+    labels = []
+    for cls in range(spec.num_classes):
+        noise = rng.normal(size=(spec.samples_per_class, spec.dimension))
+        samples = means[cls][None, :] + sigma * noise
+        rows.append(samples)
+        labels.extend([cls] * spec.samples_per_class)
+    emb = np.concatenate(rows, axis=0)
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
+    return LabeledBatch(
+        embeddings=emb,
+        labels=np.asarray(labels, dtype=int),
+        samples_per_class=spec.samples_per_class,
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(8, 16, 16, seed=0),
+    SyntheticSpec(32, 4, 64, seed=1),
+    SyntheticSpec(4, 4, 8, concentration=40.0, seed=2),
+    SyntheticSpec(40, 20, 32, seed=3),
+], ids=["desk", "wide", "4x4", "40x20"])
+def test_generate_synthetic_matches_reference(spec):
+    batch, ref = generate_synthetic(spec), reference_generate_synthetic(spec)
+    for new, old in ((batch.embeddings, ref.embeddings), (batch.labels, ref.labels)):
+        assert new.dtype == old.dtype and new.shape == old.shape
+        assert np.array_equal(new, old)
+    assert batch.samples_per_class == ref.samples_per_class

@@ -5,6 +5,7 @@ stacked solvers batch_engine re-exports, the loss aliases in gradients), so
 a rename or deletion there breaks the benchmark before any timing runs.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +51,23 @@ def test_import_stays_light():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m hardneg.cli` exits through sys.exit(main()): input errors,
+    # argparse's among them, give exit 2 and one JSON object on stdout.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "hardneg.cli", *argv], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60, env=env)
+
+    for argv in (("solve", "instance.json", "--bogus"), ("solve", "missing.json")):
+        result = run(*argv)
+        assert result.returncode == 2, argv
+        assert result.stderr == ""
+        assert list(json.loads(result.stdout)) == ["error", "message"]
+    result = run("--version")
+    assert result.returncode == 0
+    assert result.stdout.strip()

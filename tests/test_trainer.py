@@ -47,6 +47,8 @@ def test_synthetic_spec_validation():
         SyntheticSpec(samples_per_class=3)
     with pytest.raises(ValueError):
         SyntheticSpec(dimension=2)
+    with pytest.raises(ValueError):
+        SyntheticSpec(concentration=1e12)
 
 
 def test_antipodal_means_high_concentration():
