@@ -4,9 +4,10 @@ The objective f(alpha, beta) = -p1.p2 is minimized over the box
 [0, alpha0] x [0, beta0] by enumerating the nine ways the box constraints
 can be active: the unconstrained stationary points (case 0), one angle
 pinned at a bound (cases 1-4), and both pinned (corner cases 5-8). The case
-analysis is `vectorized.solve_arc_stack`; this module solves one problem as
-a stack of one row and keeps the problem's own basis, which the grid oracle
-reads, built here with `geometry` and independent of the case analysis.
+analysis is `vectorized.solve_arc_stack` and the KKT check
+`vectorized.arc_kkt`; this module calls both on a stack of one row and keeps
+the problem's own basis, which the grid oracle reads, built here with
+`geometry` and independent of the case analysis.
 
 Sign convention: the Lagrangian is f - sum(lambda_i g_i) with g_i <= 0 and
 lambda_i <= 0 at a feasible minimum. Stationarity reads
@@ -16,7 +17,7 @@ df/dalpha + lambda_1 - lambda_2 = 0 and df/dbeta + lambda_3 - lambda_4 = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .geometry import (
     normalize,
     objective_coeffs,
 )
-from .vectorized import CASE_BOUNDS, objective_partials, solve_arc_stack
+from .vectorized import arc_kkt, solve_arc_stack
 
 
 @dataclass(frozen=True)
@@ -138,41 +139,21 @@ def optimal_arc_distance(problem: ArcProblem) -> KktSolution:
                        distance=float(sol.distance[0]))
 
 
+def _kkt_row(candidate: KktCandidate, coeffs: ObjectiveCoeffs, alpha0: float, beta0: float):
+    """`arc_kkt` of one candidate: both stationarity residuals, slackness and margin."""
+    row = (candidate.case_id, candidate.alpha, candidate.beta, candidate.multipliers,
+           astuple(coeffs), alpha0, beta0)
+    (st_alpha, st_beta), slackness, margin = (m[0] for m in arc_kkt(*(np.array([r]) for r in row)))
+    return float(st_alpha), float(st_beta), float(slackness), float(margin)
+
+
 def kkt_residuals(candidate: KktCandidate, coeffs: ObjectiveCoeffs,
                   alpha0: float, beta0: float) -> dict:
-    """Stationarity and complementary-slackness residuals of a candidate."""
-    l1, l2, l3, l4 = candidate.multipliers
-    al, be = candidate.alpha, candidate.beta
-    ga, gb = objective_partials(coeffs.a, coeffs.b, coeffs.c, coeffs.d, np.array([al, be]))
-    return {
-        "stationarity_alpha": float(ga + l1 - l2),
-        "stationarity_beta": float(gb + l3 - l4),
-        "slackness": max(
-            abs(l1 * (-al)),
-            abs(l2 * (al - alpha0)),
-            abs(l3 * (-be)),
-            abs(l4 * (be - beta0)),
-        ),
-    }
+    """Stationarity and complementary-slackness residuals of a candidate (see `arc_kkt`)."""
+    st_alpha, st_beta, slackness, _ = _kkt_row(candidate, coeffs, alpha0, beta0)
+    return {"stationarity_alpha": st_alpha, "stationarity_beta": st_beta, "slackness": slackness}
 
 
 def active_set_margin(problem: ArcProblem, solution: KktSolution) -> float:
-    """How far the winner is from an active-set change.
-
-    For a pinned angle the margin is the magnitude of its multiplier; for a
-    free angle, its distance to the nearest bound. Small margins mean the
-    winning case is about to switch and envelope gradients are unreliable.
-    """
-    cand = solution.candidate
-    pinned = CASE_BOUNDS[cand.case_id]
-    margins = []
-    l1, l2, l3, l4 = cand.multipliers
-    if pinned[0] or pinned[1] or problem.x_collapsed:
-        margins.append(max(abs(l1), abs(l2)))
-    else:
-        margins.append(min(cand.alpha, problem.alpha0 - cand.alpha))
-    if pinned[2] or pinned[3] or problem.y_collapsed:
-        margins.append(max(abs(l3), abs(l4)))
-    else:
-        margins.append(min(cand.beta, problem.beta0 - cand.beta))
-    return float(min(margins))
+    """How far the winner is from an active-set change (see `arc_kkt`)."""
+    return _kkt_row(solution.candidate, problem.coeffs, problem.alpha0, problem.beta0)[3]

@@ -62,10 +62,6 @@ class LabeledBatch:
     def batch_size(self) -> int:
         return self.embeddings.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
     def num_classes(self) -> int:
         return len(np.unique(self.labels))
 

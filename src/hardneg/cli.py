@@ -171,7 +171,7 @@ def _random_instance(rng, dim, variant):
 
 
 def _run_sweep(args) -> int:
-    out = _write_manifest("oracle-sweep", args.instance or "", args.out_dir, args.seed)
+    out = _write_manifest("oracle-sweep", "", args.out_dir, args.seed)
     rng = np.random.default_rng(args.seed)
     variant = args.variant or "arc"
     rows = []
@@ -208,6 +208,8 @@ def _check_oracle_args(args) -> None:
     """Reject bad oracle flags before any grid is built or file written."""
     if args.sweep < 0:
         raise ParseError(f"--sweep must be nonnegative, got {args.sweep}")
+    if args.sweep and args.instance:
+        raise ParseError(f"--sweep draws random instances; it takes no instance file ({args.instance})")
     if args.sweep and not args.out_dir:
         raise ParseError("--sweep requires --out-dir")
     if args.sweep and args.seed < 0:

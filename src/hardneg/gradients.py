@@ -51,28 +51,6 @@ _PINNED_HIGH = CASE_BOUNDS[:, [1, 1, 3, 3]]
 _HIGH_ROW = np.array([0.0, 1.0, 0.0, -1.0])
 
 
-def arc_point_adjoints(
-    x1, x2, n2, endpoint_dot, residual_norm, angle, delta,
-    pinned_low: bool, pinned_high: bool,
-):
-    """(dp/dx1)^T delta and (dp/dx2)^T delta for p = x1 cos(a) + n2 sin(a).
-
-    With the angle pinned at 0 the point is x1; pinned at the extent it is
-    x2. Otherwise the angle is held fixed and the Jacobians of the basis
-    construction n2 = (x2 - (x1.x2) x1) / |...| are applied.
-    """
-    if pinned_low:
-        return delta.copy(), np.zeros_like(delta)
-    if pinned_high:
-        return np.zeros_like(delta), delta.copy()
-    cos_a, sin_a = np.cos(angle), np.sin(angle)
-    dt = delta - (delta @ n2) * n2
-    dt_x1 = dt @ x1
-    g_x1 = cos_a * delta + sin_a * (-(dt_x1) * x2 - endpoint_dot * dt) / residual_norm
-    g_x2 = sin_a * (dt - dt_x1 * x1) / residual_norm
-    return g_x1, g_x2
-
-
 def _square(n: int, rows, cols, values) -> np.ndarray:
     """(n, n) matrix of the values summed at their (row, col) entries, broadcast to the values."""
     index = np.broadcast_to(rows * n + cols, np.shape(values))

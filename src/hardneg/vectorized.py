@@ -350,19 +350,27 @@ def arc_candidate_table(x1, x2, y1, y2):
     return _SLOT_CASE, alpha, beta, f, ok, _ARC_ALLOWED[x_col + 2 * y_col].T
 
 
-def arc_stack_residuals(sol: ArcSolution) -> np.ndarray:
-    """Max stationarity residual per instance for the winning candidates.
+def arc_kkt(case_id, alpha, beta, multipliers, coeffs, alpha0, beta0):
+    """KKT check of n arc candidates: stationarity (n, 2), slackness and active-set margin (n,).
 
-    A collapsed side has its angle structurally pinned and carries no
-    stationarity condition, so its residual is excluded.
+    coeffs holds rows (a, b, c, d) and multipliers rows (lambda_1, ..., lambda_4).
+    An angle whose extent is exactly 0 (a collapsed side; any other side
+    spans at least about 4.5e-4 rad) is pinned at both bounds and has no
+    stationarity condition. The slackness is the largest |lambda_i g_i|. The
+    margin says how far a candidate is from an active-set change: a pinned
+    angle's larger multiplier magnitude, a free angle's distance to its
+    nearest bound, whichever side is smaller. Small margins mean the winning
+    case is about to switch and envelope gradients are unreliable.
     """
-    a, b, c, d = sol.coeffs.T
-    ga, gb = objective_partials(a, b, c, d, np.stack([sol.alpha, sol.beta]))
-    r1 = ga + sol.multipliers[:, 0] - sol.multipliers[:, 1]
-    r2 = gb + sol.multipliers[:, 2] - sol.multipliers[:, 3]
-    r1 = np.where(sol.x_collapsed, 0.0, r1)
-    r2 = np.where(sol.y_collapsed, 0.0, r2)
-    return np.maximum(np.abs(r1), np.abs(r2))
+    angles, extents, lam = np.stack([alpha, beta]), np.stack([alpha0, beta0]), multipliers.T
+    ga, gb = objective_partials(*coeffs.T, angles)
+    stationarity = np.where(extents == 0.0, 0.0, np.stack([ga + lam[0] - lam[1], gb + lam[2] - lam[3]]))
+    gaps = np.stack([-alpha, alpha - alpha0, -beta, beta - beta0])
+    slackness = np.max(np.abs(lam * gaps), axis=0)
+    pins = CASE_BOUNDS[case_id].T
+    margins = np.where(pins[0::2] | pins[1::2], np.maximum(np.abs(lam[0::2]), np.abs(lam[1::2])),
+                       np.minimum(angles, extents - angles))
+    return stationarity.T, slackness, np.min(margins, axis=0)
 
 
 @dataclass

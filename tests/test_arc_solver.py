@@ -20,7 +20,7 @@ from hardneg.vectorized import (
     EPS_BOX,
     EPS_LAMBDA,
     arc_candidate_table,
-    arc_stack_residuals,
+    arc_kkt,
     solve_arc_stack,
 )
 
@@ -302,8 +302,19 @@ def test_symmetry_under_swaps(pts, seed):
         assert abs(distance**2 - base**2) <= max(slack, other_slack)
 
 
+def collapsed_problems(rng, count, dim):
+    """Problems whose x arc (even t) or y arc (odd t) collapses exactly."""
+    for t in range(count):
+        x1, x2, y1, y2 = unit_rows(rng, 4, dim)
+        yield ArcProblem.from_endpoints(x1, x2 if t % 2 else x1, y1, y1 if t % 2 else y2)
+
+
 def test_winner_kkt_residuals(rng):
-    for problem in random_problems(rng, 300, dims=(3, 8, 24)):
+    # A collapsed side's basis is a placeholder, so f's partial there is not
+    # 0; its angle is pinned at both bounds and has no stationarity residual.
+    problems = (*random_problems(rng, 300, dims=(3, 8, 24)), *collapsed_problems(rng, 200, 5))
+    assert sum(p.x_collapsed for p in problems) == sum(p.y_collapsed for p in problems) == 100
+    for problem in problems:
         sol = optimal_arc_distance(problem)
         res = kkt_residuals(
             sol.candidate, problem.coeffs, problem.alpha0, problem.beta0
@@ -332,7 +343,34 @@ def test_scalar_matches_stack(rng):
         assert cand.multipliers == tuple(stack.multipliers[t])
         assert np.array_equal(sol.p1, stack.p1[t]) and np.array_equal(sol.p2, stack.p2[t])
         assert sol.distance == stack.distance[t]
-    assert float(np.max(arc_stack_residuals(stack))) < 1e-8
+    stationarity, slackness, _ = arc_kkt(stack.case_id, stack.alpha, stack.beta, stack.multipliers,
+                                         stack.coeffs, stack.alpha0, stack.beta0)
+    assert stationarity.shape == (200, 2)
+    assert float(np.max(np.abs(stationarity))) < 1e-8
+    assert float(np.max(slackness)) < 1e-8
+
+
+def test_extent_is_zero_exactly_on_collapsed_sides(rng):
+    # arc_kkt reads a zero extent as a collapsed side: both the stack and a
+    # problem built alone give extent 0.0 there and a clearly positive one
+    # elsewhere, sides just above the collapse threshold included.
+    x1, x2, y1, y2 = (unit_rows(rng, 400, 6) for _ in range(4))
+    x2[::4] = x1[::4]
+    y2[1::4] = y1[1::4]
+    x2[2::8] = x1[2::8] + 1e-9 * rng.normal(size=(50, 6))
+    y2[6::8] = y1[6::8] + 1e-9 * rng.normal(size=(50, 6))
+    for step, m, base in ((5, x2, x1), (7, y2, y1)):
+        m[3::step] = base[3::step] + rng.uniform(4e-4, 2e-3) * rng.normal(size=(len(m[3::step]), 6))
+    x2, y2 = (m / np.linalg.norm(m, axis=1, keepdims=True) for m in (x2, y2))
+    stack = solve_arc_stack(x1, x2, y1, y2)
+    for extent, collapsed in ((stack.alpha0, stack.x_collapsed), (stack.beta0, stack.y_collapsed)):
+        assert collapsed.any() and not collapsed.all()
+        assert np.array_equal(extent == 0.0, collapsed)
+        assert float(np.min(extent[~collapsed])) > 4e-4
+    for t in range(0, 400, 3):
+        problem = ArcProblem.from_endpoints(x1[t], x2[t], y1[t], y2[t])
+        assert (problem.alpha0 == 0.0) == problem.x_collapsed == stack.x_collapsed[t]
+        assert (problem.beta0 == 0.0) == problem.y_collapsed == stack.y_collapsed[t]
 
 
 def test_stack_rejects_non_finite(rng):

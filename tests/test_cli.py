@@ -239,6 +239,23 @@ def test_oracle_bad_sweep_is_input_error(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_sweep_rejects_an_instance(tmp_path, capsys):
+    # A sweep draws random instances: an instance file given with it, and its
+    # variant, used to be ignored, and the manifest named the file.
+    out_dir = tmp_path / "s"
+    for name in ("instance_segment.json", "instance_arc.json"):
+        code, out = run_cli(capsys, "oracle", str(ROOT / "configs" / name), "--sweep", "2",
+                            "--resolution", "1e-2", "--out-dir", str(out_dir))
+        assert code == 2
+        error = json.loads(out)
+        assert error["error"] == "ParseError" and name in error["message"]
+        assert not out_dir.exists()
+    code, _ = run_cli(capsys, "oracle", "--sweep", "2", "--resolution", "1e-2",
+                      "--out-dir", str(out_dir))
+    assert code == 0
+    assert json.loads((out_dir / "manifest.json").read_text())["config_path"] == ""
+
+
 def test_experiment_unknown_variant(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"losses": ["loop_triplet"], "steps": 1, "variant": "cone"}))

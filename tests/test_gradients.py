@@ -20,7 +20,6 @@ from hardneg import batch_engine, gradients, losses, trainer
 from hardneg.batch_engine import VARIANTS
 from hardneg.gradients import (
     LOSS_REGISTRY,
-    arc_point_adjoints,
     evaluate_loss,
     loss_and_grad,
     project_tangent,
@@ -28,6 +27,28 @@ from hardneg.gradients import (
 from hardneg.geometry import gram_schmidt_basis, point_on_arc
 
 from conftest import random_batch, unit_rows
+
+
+def arc_point_adjoints(
+    x1, x2, n2, endpoint_dot, residual_norm, angle, delta,
+    pinned_low: bool, pinned_high: bool,
+):
+    """(dp/dx1)^T delta and (dp/dx2)^T delta for p = x1 cos(a) + n2 sin(a).
+
+    With the angle pinned at 0 the point is x1; pinned at the extent it is
+    x2. Otherwise the angle is held fixed and the Jacobians of the basis
+    construction n2 = (x2 - (x1.x2) x1) / |...| are applied.
+    """
+    if pinned_low:
+        return delta.copy(), np.zeros_like(delta)
+    if pinned_high:
+        return np.zeros_like(delta), delta.copy()
+    cos_a, sin_a = np.cos(angle), np.sin(angle)
+    dt = delta - (delta @ n2) * n2
+    dt_x1 = dt @ x1
+    g_x1 = cos_a * delta + sin_a * (-(dt_x1) * x2 - endpoint_dot * dt) / residual_norm
+    g_x2 = sin_a * (dt - dt_x1 * x1) / residual_norm
+    return g_x1, g_x2
 
 
 def numeric_fixed_angle_adjoints(x1, x2, alpha, delta, h=1e-7):

@@ -20,7 +20,10 @@ them from the value pass, must give every total, term and gradient bit for
 bit. The recall reference forms a fresh E E^T per call; recall and evaluate,
 which read the batch's cached Gram matrix, must agree with it bit for bit.
 The synthetic-data reference draws each class's noise in its own call; the
-single draw must give the same embeddings and labels bit for bit.
+single draw must give the same embeddings and labels bit for bit. The KKT
+references are the one-problem checkers as they were before they became
+one-row calls of `arc_kkt`; every value must agree bit for bit, except
+stationarity on a collapsed side, which is now 0.
 """
 
 import dataclasses
@@ -35,8 +38,10 @@ from hardneg import (
     SyntheticSpec,
     build_pairs,
     SegmentProblem,
+    arc_solver,
     generate_synthetic,
     gradients,
+    optimal_arc_distance,
     optimal_distance_table,
     oracle,
     vectorized,
@@ -66,6 +71,7 @@ from hardneg.vectorized import (
     SegmentStackSolution,
     _arc_side,
     _require_finite,
+    objective_partials,
 )
 
 
@@ -599,6 +605,92 @@ def test_segment_stack_matches_reference(dim):
     new = vectorized.solve_segment_stack(x1, x2, y1, y2)
     assert set(np.unique(new.case_id)) >= {0, 1, 3}
     assert_same_fields(new, solve_segment_stack(x1, x2, y1, y2))
+
+
+# Verbatim copies of arc_solver.kkt_residuals and arc_solver.active_set_margin
+# before they became one-row calls of vectorized.arc_kkt.
+def kkt_residuals(candidate, coeffs, alpha0, beta0) -> dict:
+    """Stationarity and complementary-slackness residuals of a candidate."""
+    l1, l2, l3, l4 = candidate.multipliers
+    al, be = candidate.alpha, candidate.beta
+    ga, gb = objective_partials(coeffs.a, coeffs.b, coeffs.c, coeffs.d, np.array([al, be]))
+    return {
+        "stationarity_alpha": float(ga + l1 - l2),
+        "stationarity_beta": float(gb + l3 - l4),
+        "slackness": max(
+            abs(l1 * (-al)),
+            abs(l2 * (al - alpha0)),
+            abs(l3 * (-be)),
+            abs(l4 * (be - beta0)),
+        ),
+    }
+
+
+def active_set_margin(problem, solution) -> float:
+    """How far the winner is from an active-set change.
+
+    For a pinned angle the margin is the magnitude of its multiplier; for a
+    free angle, its distance to the nearest bound. Small margins mean the
+    winning case is about to switch and envelope gradients are unreliable.
+    """
+    cand = solution.candidate
+    pinned = CASE_BOUNDS[cand.case_id]
+    margins = []
+    l1, l2, l3, l4 = cand.multipliers
+    if pinned[0] or pinned[1] or problem.x_collapsed:
+        margins.append(max(abs(l1), abs(l2)))
+    else:
+        margins.append(min(cand.alpha, problem.alpha0 - cand.alpha))
+    if pinned[2] or pinned[3] or problem.y_collapsed:
+        margins.append(max(abs(l3), abs(l4)))
+    else:
+        margins.append(min(cand.beta, problem.beta0 - cand.beta))
+    return float(min(margins))
+
+
+def kkt_problems(rng, count):
+    """Arc problems in dimensions 3, 8, 24 and 64, in eight kinds: x collapsed
+    exactly, y collapsed exactly, both, both sides 1e-9 long (also
+    collapsed), twice short arcs above the collapse threshold and twice
+    generic arcs."""
+    for t in range(count):
+        dim, kind = (3, 8, 24, 64)[t % 4], (t // 4) % 8
+        x1, x2, y1, y2 = unit(rng.normal(size=(4, dim)))
+        if kind in (1, 3):
+            x2 = x1.copy()
+        if kind in (2, 3):
+            y2 = y1.copy()
+        if kind in (4, 5, 6):
+            scale = 1e-9 if kind == 4 else rng.uniform(5e-4, 5e-2)
+            x2, y2 = (u + scale * rng.normal(size=dim) for u in (x1, y1))
+        yield ArcProblem.from_endpoints(x1, x2, y1, y2)
+
+
+def same_bits(new, ref) -> bool:
+    return np.float64(new).tobytes() == np.float64(ref).tobytes()
+
+
+def test_kkt_checkers_match_reference():
+    # Every value is the parent's bit for bit, except stationarity on a
+    # collapsed side, whose angle has no stationarity condition: it is now
+    # 0, where the placeholder basis made the old one read up to about 1.
+    collapsed_sides = old_alarms = 0
+    for problem in kkt_problems(np.random.default_rng(18), 3000):
+        sol = optimal_arc_distance(problem)
+        args = (sol.candidate, problem.coeffs, problem.alpha0, problem.beta0)
+        new, ref = arc_solver.kkt_residuals(*args), kkt_residuals(*args)
+        assert list(new) == list(ref)
+        assert same_bits(new["slackness"], ref["slackness"])
+        for side, collapsed in (("alpha", problem.x_collapsed), ("beta", problem.y_collapsed)):
+            key = f"stationarity_{side}"
+            if collapsed:
+                assert same_bits(new[key], 0.0)
+                collapsed_sides += 1
+                old_alarms += abs(ref[key]) > 1e-8
+            else:
+                assert same_bits(new[key], ref[key])
+        assert same_bits(arc_solver.active_set_margin(problem, sol), active_set_margin(problem, sol))
+    assert collapsed_sides > 1000 and old_alarms > 500
 
 
 # Verbatim copy of gradients._arc_adjoint_blocks before the closed form: it
