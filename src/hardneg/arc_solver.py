@@ -41,8 +41,8 @@ class ArcProblem:
 
     alpha0 and beta0 are the arc extents arccos(x1.x2) and arccos(y1.y2).
     A collapsed arc (coincident endpoints within DEGENERACY_EPS) is stored
-    with extent 0 and a deterministic placeholder for its second basis
-    vector; the placeholder never enters f at angle 0.
+    with extent exactly 0 and a deterministic placeholder for its second
+    basis vector; the placeholder never enters f at angle 0.
     """
 
     x1: np.ndarray
@@ -54,8 +54,6 @@ class ArcProblem:
     coeffs: ObjectiveCoeffs
     alpha0: float
     beta0: float
-    x_collapsed: bool = False
-    y_collapsed: bool = False
 
     @classmethod
     def from_endpoints(cls, x1, x2, y1, y2) -> "ArcProblem":
@@ -72,14 +70,13 @@ class ArcProblem:
                 f"arc endpoints must be vectors of one dimension >= 2, got shapes "
                 f"{[p.shape for p in (x1, x2, y1, y2)]}"
             )
-        basis_x, alpha0, x_collapsed = _pair_basis(x1, x2)
-        basis_y, beta0, y_collapsed = _pair_basis(y1, y2)
+        basis_x, alpha0 = _pair_basis(x1, x2)
+        basis_y, beta0 = _pair_basis(y1, y2)
         coeffs = objective_coeffs(basis_x, basis_y)
         return cls(
             x1=x1, x2=x2, y1=y1, y2=y2,
             basis_x=basis_x, basis_y=basis_y, coeffs=coeffs,
             alpha0=alpha0, beta0=beta0,
-            x_collapsed=x_collapsed, y_collapsed=y_collapsed,
         )
 
 
@@ -109,13 +106,13 @@ class KktSolution:
 
 
 def _pair_basis(u, v):
-    """Basis, extent, and collapse flag for one endpoint pair."""
+    """Basis and extent of one endpoint pair; the extent is 0.0 exactly when it collapses."""
     dot = clamp_unit(float(u @ v))
     if dot >= 1.0 - DEGENERACY_EPS:
-        return OrthoBasis(n1=u, n2=fallback_orthonormal(u)), 0.0, True
+        return OrthoBasis(n1=u, n2=fallback_orthonormal(u)), 0.0
     if dot <= -1.0 + DEGENERACY_EPS:
         raise DegenerateArc(f"antiparallel endpoints, dot = {dot:.12f}")
-    return gram_schmidt_basis(u, v), math.acos(dot), False
+    return gram_schmidt_basis(u, v), math.acos(dot)
 
 
 def optimal_arc_distance(problem: ArcProblem) -> KktSolution:

@@ -77,10 +77,13 @@ SPEC_INTEGERS = ("num_classes", "samples_per_class", "dimension", "seed")
 def _write_manifest(command, config_path, out_dir, seed):
     """Create out_dir and write the reproducibility record next to its file outputs."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _emit({"command": command, "config_path": str(config_path), "out_dir": str(out),
-           "seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
-           "version": __version__}, out / "manifest.json")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        _emit({"command": command, "config_path": str(config_path), "out_dir": str(out),
+               "seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
+               "version": __version__}, out / "manifest.json")
+    except OSError as exc:
+        raise ParseError(f"cannot write --out-dir {out_dir}: {exc}") from exc
     return out
 
 
@@ -128,10 +131,9 @@ def _instance_command(args, command, payload_fn, filename) -> int:
     """Print payload_fn(points, variant) of the instance; with --out-dir, also store it."""
     points, instance_variant = _load_instance(args.instance)
     payload = payload_fn(points, args.variant or instance_variant)
-    _emit(payload)
     if args.out_dir:
-        out = _write_manifest(command, args.instance, args.out_dir, args.seed)
-        _emit(payload, out / filename)
+        _emit(payload, _write_manifest(command, args.instance, args.out_dir, args.seed) / filename)
+    _emit(payload)
     return 0
 
 

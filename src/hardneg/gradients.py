@@ -128,16 +128,13 @@ def _arc_adjoint_blocks(sol, sel) -> np.ndarray:
     alpha, beta, rho = sol.alpha[sel], sol.beta[sel], sol.distance[sel]
     ca, sa, cb, sb = np.cos(alpha), np.sin(alpha), np.cos(beta), np.sin(beta)
     high = _PINNED_HIGH[sol.case_id[sel]]
-    sides = (  # first column, cos, sin, c0, s, collapsed, rho delta.e1, rho delta.n2
-        (0, ca, sa, sol.dot_x[sel], sol.res_x[sel], sol.x_collapsed[sel],
-         ca + d * cb + b * sb, sa + c * cb + a * sb),
-        (2, cb, sb, sol.dot_y[sel], sol.res_y[sel], sol.y_collapsed[sel],
-         cb + d * ca + c * sa, sb + b * ca + a * sa),
+    sides = (  # first column, cos, sin, c0, 1 / s (0 if collapsed), rho delta.e1, rho delta.n2
+        (0, ca, sa, sol.dot_x[sel], sol.inv_x[sel], ca + d * cb + b * sb, sa + c * cb + a * sb),
+        (2, cb, sb, sol.dot_y[sel], sol.inv_y[sel], cb + d * ca + c * sa, sb + b * ca + a * sa),
     )
     ends = np.empty((len(sel), 4))  # endpoint coefficients of p1 and -p2
     jacobians = []
-    for first, cos, sin, c0, res, collapsed, e1_dot, n2_dot in sides:
-        inv = np.where(collapsed, 0.0, 1.0 / np.where(collapsed, 1.0, res))
+    for first, cos, sin, c0, inv, e1_dot, n2_dot in sides:
         s_over = sin * inv
         ends[:, first] = cos - c0 * s_over
         ends[:, first + 1] = s_over

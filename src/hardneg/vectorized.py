@@ -80,8 +80,9 @@ class ArcSolution:
     """Winning candidates for a stack of arc problems, from endpoint dots.
 
     Holds no (n, D) array: the optimal points are p1 = x1 cos(alpha) +
-    n2x sin(alpha) with n2x = (x2 - dot_x x1) / res_x (and likewise p2),
-    so the dots and residual norms suffice to form envelope gradients.
+    n2x sin(alpha) with n2x = (x2 - dot_x x1) * inv_x (and likewise p2),
+    so the dots and inverse residual norms suffice to form envelope
+    gradients. A side is collapsed exactly where its extent is 0.0.
     """
 
     case_id: np.ndarray
@@ -95,10 +96,8 @@ class ArcSolution:
     coeffs: np.ndarray  # (n, 4) rows (a, b, c, d)
     dot_x: np.ndarray
     dot_y: np.ndarray
-    res_x: np.ndarray  # |x2 - (x1.x2) x1|, the Gram-Schmidt residual norm
-    res_y: np.ndarray
-    x_collapsed: np.ndarray
-    y_collapsed: np.ndarray
+    inv_x: np.ndarray  # 1 / |x2 - (x1.x2) x1|, and 0 on a collapsed side
+    inv_y: np.ndarray
 
 
 @dataclass
@@ -124,14 +123,14 @@ def _second_basis(u: np.ndarray, v: np.ndarray, dot, collapsed) -> np.ndarray:
 
 
 def _arc_side(dot):
-    """Clipped endpoint dot, residual norm, extent and collapse flag of one side."""
+    """Clipped endpoint dot, inverse residual norm and extent; both 0 on a collapsed side."""
     dot = np.clip(dot, -1.0, 1.0)
     collapsed = dot >= 1.0 - DEGENERACY_EPS
     if np.any(dot <= -1.0 + DEGENERACY_EPS):
         raise DegenerateArc("stack contains antiparallel endpoint pairs")
     residual = np.sqrt((1.0 - dot) * (1.0 + dot))
-    extent = np.where(collapsed, 0.0, np.arccos(dot))
-    return dot, residual, extent, collapsed
+    inv = np.where(collapsed, 0.0, 1.0 / np.where(collapsed, 1.0, residual))
+    return dot, inv, np.where(collapsed, 0.0, np.arccos(dot))
 
 
 def _mod_pi(x):
@@ -237,17 +236,14 @@ def _arc_candidates(a, b, c, d, alpha0, beta0):
 
 def _arc_coeffs(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2):
     """Both sides (see `_arc_side`) and the objective coefficients (a, b, c, d)."""
-    x_side = _arc_side(dot_x)
-    y_side = _arc_side(dot_y)
-    dot_x, res_x, _, x_col = x_side
-    dot_y, res_y, _, y_col = y_side
+    x_side, y_side = _arc_side(dot_x), _arc_side(dot_y)
+    (dot_x, inv_x, _), (dot_y, inv_y, _) = x_side, y_side
 
     # (a, b, c, d) = -(n2x.n2y, x1.n2y, n2x.y1, x1.y1). On a collapsed side
     # the terms divided by its residual only multiply the sine of its
-    # pinned angle, sin(0) = 0, and are set to 0. Its partial at 0 is then
-    # +-0, so its multipliers vanish and never veto a candidate.
-    inv_x = np.where(x_col, 0.0, 1.0 / np.where(x_col, 1.0, res_x))
-    inv_y = np.where(y_col, 0.0, 1.0 / np.where(y_col, 1.0, res_y))
+    # pinned angle, sin(0) = 0, and are set to 0 by its zero inverse. Its
+    # partial at 0 is then +-0, so its multipliers vanish and never veto a
+    # candidate.
     a = -(x2y2 - dot_y * x2y1 - dot_x * x1y2 + dot_x * dot_y * x1y1) * inv_x * inv_y
     b = -(x1y2 - dot_y * x1y1) * inv_y
     c = -(x2y1 - dot_x * x1y1) * inv_x
@@ -262,10 +258,10 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     replace it where it falls below EXPLICIT_NORM_BELOW.
     """
     x_side, y_side, (a, b, c, d) = _arc_coeffs(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2)
-    dot_x, res_x, alpha0, x_col = x_side
-    dot_y, res_y, beta0, y_col = y_side
+    dot_x, inv_x, alpha0 = x_side
+    dot_y, inv_y, beta0 = y_side
     ang, f, ok = _arc_candidates(a, b, c, d, alpha0, beta0)
-    winner = _select(f, ok, x_col + 2 * y_col, _ARC_ALLOWED)
+    winner = _select(f, ok, (alpha0 == 0.0) + 2 * (beta0 == 0.0), _ARC_ALLOWED)
     rows = np.arange(len(winner))
     case = _SLOT_CASE[winner]
     angles = ang[_ANGLE_ROW[:, winner], rows]
@@ -284,17 +280,15 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
         coeffs=np.stack([a, b, c, d], axis=1),
         dot_x=dot_x,
         dot_y=dot_y,
-        res_x=res_x,
-        res_y=res_y,
-        x_collapsed=x_col,
-        y_collapsed=y_col,
+        inv_x=inv_x,
+        inv_y=inv_y,
     )
 
 
 def _arc_points(sol: ArcSolution, x1, x2, y1, y2, rows=slice(None)):
     """Optimal points p1, p2 of the given rows."""
-    n2x = _second_basis(x1, x2, sol.dot_x[rows], sol.x_collapsed[rows])
-    n2y = _second_basis(y1, y2, sol.dot_y[rows], sol.y_collapsed[rows])
+    n2x = _second_basis(x1, x2, sol.dot_x[rows], sol.alpha0[rows] == 0.0)
+    n2y = _second_basis(y1, y2, sol.dot_y[rows], sol.beta0[rows] == 0.0)
     al, be = sol.alpha[rows][:, None], sol.beta[rows][:, None]
     p1 = x1 * np.cos(al) + n2x * np.sin(al)
     p2 = y1 * np.cos(be) + n2y * np.sin(be)
@@ -324,8 +318,8 @@ def solve_arc_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) -> Arc
 
     Rows whose distance falls below EXPLICIT_NORM_BELOW gather their four
     endpoints and take the explicit norm of p1 - p2; no other row is gathered.
+    The caller checks that gram is finite.
     """
-    _require_finite(gram)
     i, j, k, l = combos.T
     sol = _solve_arc_core(gram[i, j], gram[k, l], gram[i, k], gram[i, l], gram[j, k], gram[j, l])
     near = np.flatnonzero(sol.distance < EXPLICIT_NORM_BELOW)
@@ -344,10 +338,10 @@ def arc_candidate_table(x1, x2, y1, y2):
     slots a collapsed side leaves). The solve picks, per row, the first
     smallest value among the slots both ok and allowed.
     """
-    (_, _, alpha0, x_col), (_, _, beta0, y_col), coeffs = _arc_coeffs(*_row_dots(x1, x2, y1, y2)[1])
+    (_, _, alpha0), (_, _, beta0), coeffs = _arc_coeffs(*_row_dots(x1, x2, y1, y2)[1])
     ang, f, ok = _arc_candidates(*coeffs, alpha0, beta0)
     alpha, beta = ang[_ANGLE_ROW]
-    return _SLOT_CASE, alpha, beta, f, ok, _ARC_ALLOWED[x_col + 2 * y_col].T
+    return _SLOT_CASE, alpha, beta, f, ok, _ARC_ALLOWED[(alpha0 == 0.0) + 2 * (beta0 == 0.0)].T
 
 
 def arc_kkt(case_id, alpha, beta, multipliers, coeffs, alpha0, beta0):
@@ -492,9 +486,9 @@ def solve_segment_gram(emb: np.ndarray, gram: np.ndarray, combos: np.ndarray) ->
     |v| or the distance below EXPLICIT_NORM_BELOW gather their four
     endpoints and take `solve_segment_stack`'s case, k1, k2 and distance,
     so collapse decisions and near-contact distances are the row solver's;
-    the core never sees those rows, and no other row is gathered.
+    the core never sees those rows, and no other row is gathered. The
+    caller checks that gram is finite.
     """
-    _require_finite(gram)
     first, second = (0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3)  # ij, ik, il, jk, jl, kl
     g = gram[combos[:, first], combos[:, second]]
     chord_sq = np.maximum(2.0 - 2.0 * g, 0.0)

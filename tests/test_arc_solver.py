@@ -14,7 +14,7 @@ from hardneg import (
     optimal_arc_distance,
 )
 from hardneg.arc_solver import kkt_residuals
-from hardneg.geometry import point_on_arc
+from hardneg.geometry import DEGENERACY_EPS, point_on_arc
 from hardneg.vectorized import (
     CASE_BOUNDS,
     EPS_BOX,
@@ -196,7 +196,7 @@ def test_pole_equidistant_from_equatorial_arc():
     # collapsed y pair at the pole: point-vs-arc, distance sqrt(2) everywhere
     pole = [0.0, 0.0, 1.0]
     problem = ArcProblem.from_endpoints([1, 0, 0], [0, 1, 0], pole, pole)
-    assert problem.y_collapsed
+    assert problem.beta0 == 0.0
     sol = optimal_arc_distance(problem)
     assert abs(sol.distance - math.sqrt(2)) < 1e-9
 
@@ -215,7 +215,7 @@ def test_collapsed_x_pair_point_vs_arc(rng):
     for _ in range(20):
         x, y1, y2 = unit_rows(rng, 3, 4)
         problem = ArcProblem.from_endpoints(x, x, y1, y2)
-        assert problem.x_collapsed
+        assert problem.alpha0 == 0.0
         sol = optimal_arc_distance(problem)
         np.testing.assert_allclose(sol.p1, x, atol=1e-12)
         grid = grid_min_arc(problem, 1e-3)
@@ -257,8 +257,8 @@ def solve_or_none(x1, x2, y1, y2):
     except HardNegError:
         return None
     slack = 1e-12
-    for (a, b), collapsed in (((problem.x1, problem.x2), problem.x_collapsed),
-                              ((problem.y1, problem.y2), problem.y_collapsed)):
+    for (a, b), collapsed in (((problem.x1, problem.x2), problem.alpha0 == 0.0),
+                              ((problem.y1, problem.y2), problem.beta0 == 0.0)):
         slack += 4.0 * float(np.linalg.norm(a - b)) * collapsed  # d^2 moves by <= (2 + 2) |a - b|
     return optimal_arc_distance(problem).distance, slack
 
@@ -313,7 +313,7 @@ def test_winner_kkt_residuals(rng):
     # A collapsed side's basis is a placeholder, so f's partial there is not
     # 0; its angle is pinned at both bounds and has no stationarity residual.
     problems = (*random_problems(rng, 300, dims=(3, 8, 24)), *collapsed_problems(rng, 200, 5))
-    assert sum(p.x_collapsed for p in problems) == sum(p.y_collapsed for p in problems) == 100
+    assert sum(p.alpha0 == 0.0 for p in problems) == sum(p.beta0 == 0.0 for p in problems) == 100
     for problem in problems:
         sol = optimal_arc_distance(problem)
         res = kkt_residuals(
@@ -351,9 +351,10 @@ def test_scalar_matches_stack(rng):
 
 
 def test_extent_is_zero_exactly_on_collapsed_sides(rng):
-    # arc_kkt reads a zero extent as a collapsed side: both the stack and a
-    # problem built alone give extent 0.0 there and a clearly positive one
-    # elsewhere, sides just above the collapse threshold included.
+    # A zero extent is the one collapse mark: both the stack and a problem
+    # built alone give extent 0.0 exactly where the clipped endpoint dot
+    # reaches 1 - DEGENERACY_EPS, and a clearly positive one elsewhere, sides
+    # just above the collapse threshold included.
     x1, x2, y1, y2 = (unit_rows(rng, 400, 6) for _ in range(4))
     x2[::4] = x1[::4]
     y2[1::4] = y1[1::4]
@@ -363,14 +364,16 @@ def test_extent_is_zero_exactly_on_collapsed_sides(rng):
         m[3::step] = base[3::step] + rng.uniform(4e-4, 2e-3) * rng.normal(size=(len(m[3::step]), 6))
     x2, y2 = (m / np.linalg.norm(m, axis=1, keepdims=True) for m in (x2, y2))
     stack = solve_arc_stack(x1, x2, y1, y2)
-    for extent, collapsed in ((stack.alpha0, stack.x_collapsed), (stack.beta0, stack.y_collapsed)):
+    x_col, y_col = (np.clip(np.sum(u * v, axis=1), -1.0, 1.0) >= 1.0 - DEGENERACY_EPS
+                    for u, v in ((x1, x2), (y1, y2)))
+    for extent, collapsed in ((stack.alpha0, x_col), (stack.beta0, y_col)):
         assert collapsed.any() and not collapsed.all()
         assert np.array_equal(extent == 0.0, collapsed)
         assert float(np.min(extent[~collapsed])) > 4e-4
     for t in range(0, 400, 3):
         problem = ArcProblem.from_endpoints(x1[t], x2[t], y1[t], y2[t])
-        assert (problem.alpha0 == 0.0) == problem.x_collapsed == stack.x_collapsed[t]
-        assert (problem.beta0 == 0.0) == problem.y_collapsed == stack.y_collapsed[t]
+        assert (problem.alpha0 == 0.0) == x_col[t] == (stack.alpha0[t] == 0.0)
+        assert (problem.beta0 == 0.0) == y_col[t] == (stack.beta0[t] == 0.0)
 
 
 def test_stack_rejects_non_finite(rng):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardneg import (
-    HardNegError,
     InvalidBatchShape,
     LabeledBatch,
     NoNegatives,
+    NonFiniteInput,
     OddClassCount,
     build_pairs,
     combination_count,
@@ -218,12 +218,14 @@ def test_gram_table_matches_row_solver(seed, num_classes, per_class, dim, collap
 
 @pytest.mark.parametrize("variant", ["arc", "segment"])
 def test_non_finite_table_rejected(rng, variant):
-    # Built directly, so LabeledBatch.from_arrays never saw the NaN.
-    emb = unit_rows(rng, 4, 3)
-    emb[3, 0] = np.nan
-    batch = LabeledBatch(embeddings=emb, labels=np.array([0, 0, 1, 1]), samples_per_class=2)
-    with pytest.raises(HardNegError):
-        optimal_distance_table(batch, variant=variant)
+    # Built directly, so LabeledBatch.from_arrays never saw the NaN or inf.
+    # The table checks E E^T once; the Gram solvers do not check it again.
+    for bad in (np.nan, np.inf):
+        emb = unit_rows(rng, 4, 3)
+        emb[3, 0] = bad
+        batch = LabeledBatch(embeddings=emb, labels=np.array([0, 0, 1, 1]), samples_per_class=2)
+        with pytest.raises(NonFiniteInput):
+            optimal_distance_table(batch, variant=variant)
 
 
 @pytest.mark.parametrize("variant", ["arc", "segment"])

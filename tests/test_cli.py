@@ -362,6 +362,25 @@ def test_cases_rejects_segment_instances(tmp_path, capsys):
             assert not out_dir.exists()
 
 
+def test_out_dir_that_cannot_be_created_is_input_error(tmp_path, capsys):
+    # An --out-dir below a file, or naming one, used to end in an OSError
+    # traceback and exit 1, after `solve` had printed its payload.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    instance = str(ROOT / "configs" / "instance_arc.json")
+    commands = (("solve", instance), ("oracle", instance, "--resolution", "1e-2"),
+                ("oracle", "--sweep", "2", "--resolution", "1e-2"), ("cases", instance),
+                ("experiment", str(ROOT / "configs" / "experiment_paired.json")))
+    for out_dir in (blocker / "x", blocker):
+        for argv in commands:
+            code, out = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+            assert code == 2
+            payload = json.loads(out)  # the error is all stdout holds
+            assert payload["error"] == "ParseError"
+            assert str(out_dir) in payload["message"]
+    assert blocker.read_text() == ""
+
+
 def _experiment_error(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))

@@ -453,9 +453,9 @@ def test_near_coincident_pair_loop_triplet_grad():
         delta = (sol.p1 - sol.p2) / sol.distance
         case = sol.candidate.case_id
         for (e1, e2), basis, angle, collapsed, low, high, sign in (
-            ((i, j), problem.basis_x, sol.candidate.alpha, problem.x_collapsed,
+            ((i, j), problem.basis_x, sol.candidate.alpha, problem.alpha0 == 0.0,
              (1, 5, 6), (2, 7, 8), 1.0),
-            ((k, l), problem.basis_y, sol.candidate.beta, problem.y_collapsed,
+            ((k, l), problem.basis_y, sol.candidate.beta, problem.beta0 == 0.0,
              (3, 5, 7), (4, 6, 8), -1.0),
         ):
             dot = float(problem.x1 @ problem.x2) if sign > 0 else float(problem.y1 @ problem.y2)

@@ -47,7 +47,7 @@ from hardneg import (
     vectorized,
 )
 from hardneg.batch_engine import VARIANTS, OptimalDistanceTable, PairSet
-from hardneg.errors import DegenerateSegment
+from hardneg.errors import DegenerateArc, DegenerateSegment
 from hardneg.gradients import _square, chord_grad, optimal_distance_grad_stack
 from hardneg.losses import (
     LossConfig,
@@ -58,7 +58,7 @@ from hardneg.losses import (
     ms_masks,
     ms_weighting,
 )
-from hardneg.geometry import point_on_arc
+from hardneg.geometry import DEGENERACY_EPS, point_on_arc
 from hardneg.oracle import GridResult
 from hardneg.trainer import _farthest_point_kmeans, _nmi_from_contingency, evaluate, recall_at_k
 from hardneg.vectorized import (
@@ -69,7 +69,6 @@ from hardneg.vectorized import (
     EPS_SEGMENT,
     ArcSolution,
     SegmentStackSolution,
-    _arc_side,
     _require_finite,
     objective_partials,
 )
@@ -312,6 +311,19 @@ def _select(slot_case, g1, g2, x_col, y_col, in_box, values, allowed):
     return lams, winner
 
 
+# Verbatim copy of vectorized._arc_side before it returned the inverse
+# residual; the reference core forms the inverse from its residual and flag.
+def _arc_side(dot):
+    """Clipped endpoint dot, residual norm, extent and collapse flag of one side."""
+    dot = np.clip(dot, -1.0, 1.0)
+    collapsed = dot >= 1.0 - DEGENERACY_EPS
+    if np.any(dot <= -1.0 + DEGENERACY_EPS):
+        raise DegenerateArc("stack contains antiparallel endpoint pairs")
+    residual = np.sqrt((1.0 - dot) * (1.0 + dot))
+    extent = np.where(collapsed, 0.0, np.arccos(dot))
+    return dot, residual, extent, collapsed
+
+
 def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
     """Solve n arc problems of unit endpoints from their six endpoint dots.
 
@@ -404,10 +416,8 @@ def _solve_arc_core(dot_x, dot_y, x1y1, x1y2, x2y1, x2y2) -> ArcSolution:
         coeffs=np.stack([a, b, c, d], axis=1),
         dot_x=dot_x,
         dot_y=dot_y,
-        res_x=res_x,
-        res_y=res_y,
-        x_collapsed=x_col,
-        y_collapsed=y_col,
+        inv_x=inv_x,
+        inv_y=inv_y,
     )
 
 
@@ -549,8 +559,9 @@ def test_arc_core_matches_reference_on_degenerate_stacks(dim):
     rng = np.random.default_rng(dim)
     stacks = degenerate_stacks(rng, 300, dim)
     sol = vectorized._solve_arc_core(*row_dots(*stacks))
-    assert sol.x_collapsed.any() and sol.y_collapsed.any()
-    assert (sol.x_collapsed & sol.y_collapsed).any()
+    x_col, y_col = sol.alpha0 == 0.0, sol.beta0 == 0.0
+    assert x_col.any() and y_col.any()
+    assert (x_col & y_col).any()
     assert_arc_core_matches(*stacks)
 
 
@@ -637,11 +648,11 @@ def active_set_margin(problem, solution) -> float:
     pinned = CASE_BOUNDS[cand.case_id]
     margins = []
     l1, l2, l3, l4 = cand.multipliers
-    if pinned[0] or pinned[1] or problem.x_collapsed:
+    if pinned[0] or pinned[1] or problem.alpha0 == 0.0:
         margins.append(max(abs(l1), abs(l2)))
     else:
         margins.append(min(cand.alpha, problem.alpha0 - cand.alpha))
-    if pinned[2] or pinned[3] or problem.y_collapsed:
+    if pinned[2] or pinned[3] or problem.beta0 == 0.0:
         margins.append(max(abs(l3), abs(l4)))
     else:
         margins.append(min(cand.beta, problem.beta0 - cand.beta))
@@ -681,7 +692,7 @@ def test_kkt_checkers_match_reference():
         new, ref = arc_solver.kkt_residuals(*args), kkt_residuals(*args)
         assert list(new) == list(ref)
         assert same_bits(new["slackness"], ref["slackness"])
-        for side, collapsed in (("alpha", problem.x_collapsed), ("beta", problem.y_collapsed)):
+        for side, collapsed in (("alpha", problem.alpha0 == 0.0), ("beta", problem.beta0 == 0.0)):
             key = f"stationarity_{side}"
             if collapsed:
                 assert same_bits(new[key], 0.0)
@@ -696,7 +707,8 @@ def test_kkt_checkers_match_reference():
 # Verbatim copy of gradients._arc_adjoint_blocks before the closed form: it
 # stacks each row's local Gram matrix and projects delta through it. The
 # solution no longer carries the cross dots, so they come in as the rows
-# (x1.y1, x1.y2, x2.y1, x2.y2) of cross, formed as the solve formed them.
+# (x1.y1, x1.y2, x2.y1, x2.y2) of cross, formed as the solve formed them; nor
+# the residual norms or collapse flags, which come from its dots and extents.
 def _arc_adjoint_blocks(sol, sel, cross) -> np.ndarray:
     """(n, 4, 4) adjoint coefficients of the selected arc rows over (x1, x2, y1, y2).
 
@@ -712,8 +724,8 @@ def _arc_adjoint_blocks(sol, sel, cross) -> np.ndarray:
                       x1y1, x2y1, one, dot_y, x1y2, x2y2, dot_y, one], axis=1).reshape(n, 4, 4)
     bounds = CASE_BOUNDS[sol.case_id[sel]]
     sides = (
-        (0, sol.alpha[sel], dot_x, sol.res_x[sel], sol.x_collapsed[sel]),
-        (2, sol.beta[sel], dot_y, sol.res_y[sel], sol.y_collapsed[sel]),
+        (0, sol.alpha[sel], dot_x, np.sqrt((1.0 - dot_x) * (1.0 + dot_x)), sol.alpha0[sel] == 0.0),
+        (2, sol.beta[sel], dot_y, np.sqrt((1.0 - dot_y) * (1.0 + dot_y)), sol.beta0[sel] == 0.0),
     )
     # Unit difference (p1 - p2) / distance in the endpoint basis. A
     # collapsed side sits at angle 0, where n2 does not enter.
