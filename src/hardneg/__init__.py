@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     DivergenceDetected,
     HardNegError,
+    InputError,
     InsufficientSamples,
     InvalidBatchShape,
     NearZeroVector,

@@ -4,16 +4,15 @@ Subcommands: solve (one instance, closed form), oracle (grid search, or a
 randomized solver-vs-oracle sweep), experiment (paired desk-scale training
 runs), and cases (static SVG of the candidate landscape). All output is
 JSON on stdout, CSV for tabular histories, SVG for figures. Exit codes:
-0 success, 1 runtime failure, 2 input error.
+0 success, 1 runtime failure, 2 input error (an `InputError`).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
+import io
 import json
-import math
 import statistics
 import sys
 import time
@@ -27,36 +26,13 @@ import numpy as np
 from . import __version__
 from .arc_solver import ArcProblem, optimal_arc_distance
 from .batch_engine import VARIANTS
-from .errors import (
-    ConfigError,
-    DegenerateArc,
-    DegenerateSegment,
-    DimensionMismatch,
-    HardNegError,
-    InvalidBatchShape,
-    NearZeroVector,
-    NonFiniteInput,
-    OddClassCount,
-    ParseError,
-)
+from .errors import ConfigError, HardNegError, InputError, ParseError
 from .losses import LossConfig
 from .gradients import LOSS_REGISTRY
 from .oracle import check_resolution, grid_min_arc, grid_min_segment
 from .segment_solver import SegmentProblem, optimal_segment_distance
-from .trainer import SyntheticSpec, evaluate, train
+from .trainer import DEFAULT_LEARNING_RATE, SyntheticSpec, evaluate, train
 from .vectorized import arc_candidate_table, objective
-
-INPUT_ERRORS = (
-    ParseError,
-    ConfigError,
-    DegenerateArc,
-    DegenerateSegment,
-    DimensionMismatch,
-    NearZeroVector,
-    NonFiniteInput,
-    InvalidBatchShape,
-    OddClassCount,
-)
 
 SWEEP_DIMS = (3, 8, 64, 512)
 
@@ -74,16 +50,22 @@ MAX_LEARNING_RATE = 1e6
 SPEC_INTEGERS = ("num_classes", "samples_per_class", "dimension", "seed")
 
 
+def _write(path, text) -> None:
+    """Write text to path, creating its directory; an OSError is a ParseError naming path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_manifest(command, config_path, out_dir, seed):
     """Create out_dir and write the reproducibility record next to its file outputs."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        _emit({"command": command, "config_path": str(config_path), "out_dir": str(out),
-               "seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
-               "version": __version__}, out / "manifest.json")
-    except OSError as exc:
-        raise ParseError(f"cannot write --out-dir {out_dir}: {exc}") from exc
+    _emit({"command": command, "config_path": str(config_path), "out_dir": str(out),
+           "seed": seed, "timestamp": datetime.now(timezone.utc).isoformat(),
+           "version": __version__}, out / "manifest.json")
     return out
 
 
@@ -93,7 +75,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot open {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on non-UTF-8 bytes
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -115,9 +97,17 @@ def _load_instance(path):
 
 def _emit(payload, path=None) -> None:
     """Write payload as indented JSON and a newline, to the file at path or to stdout."""
-    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2) + "\n"
+    if path:
+        _write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
 
 
 def _variant_problem(points, variant):
@@ -185,10 +175,8 @@ def _run_sweep(args) -> int:
         scale = (float(np.linalg.norm(problem.u) + np.linalg.norm(problem.v))
                  if variant == "segment" else 1.0)
         rows.append((idx, dim, solver_d, oracle_d, oracle_d - solver_d, scale))
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "dim", "solver", "oracle", "gap", "scale"])
-        writer.writerows(rows)
+    header = ("index", "dim", "solver", "oracle", "gap", "scale")
+    _write(out / "sweep.csv", _csv_text(header, rows))
     gaps = [r[4] for r in rows]
     summary = {
         "instances": len(rows),
@@ -232,12 +220,13 @@ def cmd_oracle(args) -> int:
     return _instance_command(args, "oracle", payload_fn, "oracle.json")
 
 
-def _config_int(value, name):
-    """An integer config value; non-numbers, bools and fractional floats are rejected."""
+def _config_number(value, name, integer):
+    """A numeric config value; bools, non-numbers and, if integer, fractional floats are rejected."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+            or (integer and isinstance(value, float) and not value.is_integer())):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return int(value) if integer else value
 
 
 def _load_experiment_config(path):
@@ -247,7 +236,7 @@ def _load_experiment_config(path):
     spec_fields = payload.get("spec", {})
     if not isinstance(spec_fields, dict):
         raise ConfigError(f"spec must be a JSON object, got {spec_fields!r}")
-    spec_fields = {key: _config_int(value, f"spec.{key}") if key in SPEC_INTEGERS else value
+    spec_fields = {key: _config_number(value, f"spec.{key}", integer=key in SPEC_INTEGERS)
                    for key, value in spec_fields.items()}
     try:
         spec = SyntheticSpec(**spec_fields)
@@ -255,17 +244,18 @@ def _load_experiment_config(path):
             raise ValueError(f"spec needs at least 2 classes, got {spec.num_classes}")
         losses = payload["losses"]
         config = LossConfig(**payload.get("loss_config", {}))
-        steps = _config_int(payload.get("steps", 100), "steps")
-        lr = float(payload.get("learning_rate", 0.05))
+        steps = _config_number(payload.get("steps", 100), "steps", integer=True)
+        lr = float(_config_number(payload.get("learning_rate", DEFAULT_LEARNING_RATE),
+                                  "learning_rate", integer=False))
         seeds = payload.get("seeds", [0])
         variant = payload.get("variant", "arc")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc
     if not (isinstance(losses, list) and losses and all(isinstance(n, str) for n in losses)):
         raise ConfigError(f"losses must be a non-empty list of loss names, got {losses!r}")
     if not (isinstance(seeds, list) and seeds):
         raise ConfigError(f"seeds must be a non-empty list of integers, got {seeds!r}")
-    seeds = [_config_int(s, "seed") for s in seeds]
+    seeds = [_config_number(s, "seed", integer=True) for s in seeds]
     if min(seeds) < 0:
         raise ConfigError(f"seeds must be nonnegative, got {seeds}")
     unknown = [name for name in losses if name not in LOSS_REGISTRY]
@@ -280,7 +270,7 @@ def _load_experiment_config(path):
         raise ConfigError(f"spec.dimension must be at most {MAX_DIMENSION}, got {spec.dimension}")
     if not 0 <= steps <= MAX_STEPS:
         raise ConfigError(f"steps must lie in [0, {MAX_STEPS}], got {steps}")
-    if not (math.isfinite(lr) and 0.0 < lr <= MAX_LEARNING_RATE):
+    if not 0.0 < lr <= MAX_LEARNING_RATE:  # NaN fails it too
         raise ConfigError(f"learning_rate must lie in (0, {MAX_LEARNING_RATE:g}], got {lr}")
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; available: {list(VARIANTS)}")
@@ -299,10 +289,7 @@ def cmd_experiment(args) -> int:
                           seed=seed, variant=variant)
             train_s = time.perf_counter() - start
             history_path = out / f"history_{name}_seed{seed}.csv"
-            with open(history_path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "loss", "recall_at_1"])
-                writer.writerows(state.history)
+            _write(history_path, _csv_text(("step", "loss", "recall_at_1"), state.history))
             start = time.perf_counter()
             report = evaluate(state.embeddings)
             evaluate_s = time.perf_counter() - start
@@ -421,7 +408,7 @@ def cmd_cases(args) -> int:
     if args.out_dir:
         out = _write_manifest("cases", args.instance, args.out_dir, args.seed)
         path = out / "cases.svg"
-        path.write_text(svg)
+        _write(path, svg)
         _emit({"svg": str(path)})
     else:
         sys.stdout.write(svg + "\n")
@@ -476,7 +463,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         _error_payload(exc)
         return 2
     except HardNegError as exc:

@@ -5,31 +5,35 @@ class HardNegError(Exception):
     """Base class for all package errors."""
 
 
-class NearZeroVector(HardNegError):
+class InputError(HardNegError):
+    """The caller's input is bad; the command line exits 2 on it, 1 on other errors."""
+
+
+class NearZeroVector(InputError):
     """Vector too close to zero to normalize."""
 
 
-class DegenerateArc(HardNegError):
+class DegenerateArc(InputError):
     """Arc endpoints parallel or antiparallel; rotation plane undefined."""
 
 
-class DegenerateSegment(HardNegError):
+class DegenerateSegment(InputError):
     """Both segments collapse to points."""
 
 
-class NonFiniteInput(HardNegError):
+class NonFiniteInput(InputError):
     """A coordinate handed to a solver is NaN or infinite."""
 
 
-class DimensionMismatch(HardNegError):
+class DimensionMismatch(InputError):
     """Vectors of different dimension mixed in one problem."""
 
 
-class OddClassCount(HardNegError):
+class OddClassCount(InputError):
     """A class appears an odd number of times and cannot be paired."""
 
 
-class InvalidBatchShape(HardNegError):
+class InvalidBatchShape(InputError):
     """Batch size / samples-per-class combination is inconsistent."""
 
 
@@ -45,9 +49,9 @@ class DivergenceDetected(HardNegError):
     """Training loss became non-finite."""
 
 
-class ConfigError(HardNegError):
+class ConfigError(InputError):
     """Experiment configuration is invalid."""
 
 
-class ParseError(HardNegError):
+class ParseError(InputError):
     """Input file could not be parsed."""

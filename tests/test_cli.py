@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hardneg import batch_engine, cli, gradients
+import hardneg
+from hardneg import batch_engine, cli, errors, gradients
 from hardneg.cli import main
 from hardneg.gradients import LOSS_REGISTRY
 
@@ -381,6 +382,78 @@ def test_out_dir_that_cannot_be_created_is_input_error(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def _assert_only_error(out, error, *fragments):
+    payload = json.loads(out)  # the error is all stdout holds
+    assert list(payload) == ["error", "message"]
+    assert payload["error"] == error
+    for fragment in fragments:
+        assert fragment in payload["message"]
+
+
+def test_output_name_taken_by_a_directory_is_input_error(tmp_path, capsys):
+    # Only the manifest's write was guarded: any other output name taken by a
+    # directory ended in an IsADirectoryError traceback and exit 1.
+    instance = str(ROOT / "configs" / "instance_arc.json")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"spec": SMALL_SPEC, "losses": ["triplet"], "steps": 1}))
+    cases = (
+        (("solve", instance), "manifest.json"),
+        (("solve", instance), "solution.json"),
+        (("oracle", instance, "--resolution", "1e-2"), "oracle.json"),
+        (("oracle", "--sweep", "2", "--resolution", "1e-2"), "sweep.csv"),
+        (("oracle", "--sweep", "2", "--resolution", "1e-2"), "sweep_summary.json"),
+        (("experiment", str(config)), "history_triplet_seed0.csv"),
+        (("experiment", str(config)), "summary.json"),
+        (("cases", instance), "cases.svg"),
+    )
+    for index, (argv, name) in enumerate(cases):
+        out_dir = tmp_path / f"out{index}"
+        (out_dir / name).mkdir(parents=True)
+        code, out = run_cli(capsys, *argv, "--out-dir", str(out_dir))
+        assert code == 2, argv
+        _assert_only_error(out, "ParseError", str(out_dir / name))
+
+
+def test_input_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    # Bytes that are not UTF-8 raised UnicodeDecodeError out of the JSON reader.
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    out_dir = tmp_path / "out"
+    for argv in (("solve", str(bad)), ("oracle", str(bad)), ("cases", str(bad)),
+                 ("solve", str(bad), "--out-dir", str(out_dir)),
+                 ("experiment", str(bad), "--out-dir", str(out_dir))):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        _assert_only_error(out, "ParseError", "malformed JSON", str(bad))
+        assert not out_dir.exists()
+
+
+# The nine package errors that the caller's input causes, and their base.
+INPUT_ERROR_NAMES = {"InputError", "ParseError", "ConfigError", "DegenerateArc",
+                     "DegenerateSegment", "DimensionMismatch", "NearZeroVector",
+                     "NonFiniteInput", "InvalidBatchShape", "OddClassCount"}
+ERROR_TYPES = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, errors.HardNegError)]
+
+
+def test_every_error_type_maps_to_its_exit_code(monkeypatch, capsys):
+    # Exit 2 exactly for input errors, 1 for every other package error.
+    for error_type in ERROR_TYPES:
+        def command(args, error_type=error_type):
+            raise error_type("stubbed")
+
+        monkeypatch.setattr(cli, "cmd_solve", command)
+        code, out = run_cli(capsys, "solve", "instance.json")
+        assert code == (2 if error_type.__name__ in INPUT_ERROR_NAMES else 1), error_type
+        _assert_only_error(out, error_type.__name__, "stubbed")
+
+
+def test_input_errors_share_one_base():
+    input_types = {t.__name__ for t in ERROR_TYPES if issubclass(t, errors.InputError)}
+    assert input_types == INPUT_ERROR_NAMES
+    assert hardneg.InputError is errors.InputError
+
+
 def _experiment_error(tmp_path, capsys, payload):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(payload))
@@ -494,6 +567,7 @@ def test_experiment_rejects_bad_fields_before_the_manifest(tmp_path, capsys):
         "samples_per_class": (1e20, 4.5, 10**30),
         "dimension": (1e300, float("inf"), 10**30, 5000),
         "seed": (-1, "0"),
+        "concentration": (True,),
     }
     config_values = [("ms_epsilon", [[0]]), ("ms_alpha", 1e20), ("ms_beta", 1e20),
                      ("margin", True), ("ms_beta", 400.0)]
@@ -501,6 +575,10 @@ def test_experiment_rejects_bad_fields_before_the_manifest(tmp_path, capsys):
                 for key, values in spec_values.items() for value in values]
     payloads += [{"loss_config": {key: value}} for key, value in config_values]
     payloads += [{"learning_rate": 1e300}, {"steps": 1e300}, {"steps": 10**30}]
+    # A bool or a string rate used to train at 1.0 or at the string's value, a
+    # bool concentration at 1, and an integer rate beyond float range raised
+    # OverflowError.
+    payloads += [{"learning_rate": True}, {"learning_rate": "0.5"}, {"learning_rate": 10**400}]
     for fields in payloads:
         _experiment_error(tmp_path, capsys, {"spec": SMALL_SPEC, "losses": ["ms"], "steps": 1,
                                              **fields})

@@ -55,7 +55,9 @@ def test_import_stays_light():
 
 def test_module_entry_point_exit_codes(tmp_path):
     # `python -m hardneg.cli` exits through sys.exit(main()): input errors,
-    # argparse's among them, give exit 2 and one JSON object on stdout.
+    # argparse's among them, give exit 2 and one JSON object on stdout. So do
+    # an instance that is not UTF-8 and an output name taken by a directory,
+    # which used to end in a traceback and exit 1.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
@@ -63,7 +65,11 @@ def test_module_entry_point_exit_codes(tmp_path):
         return subprocess.run([sys.executable, "-m", "hardneg.cli", *argv], cwd=tmp_path,
                               capture_output=True, text=True, timeout=60, env=env)
 
-    for argv in (("solve", "instance.json", "--bogus"), ("solve", "missing.json")):
+    (tmp_path / "latin1.json").write_bytes(b"\xff{}")
+    (tmp_path / "taken" / "solution.json").mkdir(parents=True)
+    instance = str(ROOT / "configs" / "instance_arc.json")
+    for argv in (("solve", "instance.json", "--bogus"), ("solve", "missing.json"),
+                 ("solve", "latin1.json"), ("solve", instance, "--out-dir", "taken")):
         result = run(*argv)
         assert result.returncode == 2, argv
         assert result.stderr == ""
