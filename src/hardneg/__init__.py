@@ -68,5 +68,6 @@ from .trainer import (
     homoscedasticity_check,
     nmi,
     recall_at_k,
+    run_experiment,
     train,
 )

@@ -14,6 +14,7 @@ are supported).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -31,6 +32,20 @@ from .errors import NoNegatives
 MAX_MS_SCALE = 350.0
 
 
+def real_number(value, name, integer=False):
+    """value if it is a finite number, as an int if integer is set; else a ValueError naming name.
+
+    Bools, non-numbers, NaN, infinities, ints beyond float range and, if integer, fractions fail.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max or (
+            integer and not float(value).is_integer()):
+        raise ValueError(f"{name} must be a finite {'integer' if integer else 'number'}, "
+                         f"got {value!r}")
+    return int(value) if integer else value
+
+
 @dataclass(frozen=True)
 class LossConfig:
     """Margins and multi-similarity hyperparameters."""
@@ -44,11 +59,7 @@ class LossConfig:
 
     def __post_init__(self):
         for name in ("margin", "ms_epsilon", "ms_margin", "ms_alpha", "ms_beta"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            real_number(getattr(self, name), name)
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if self.ms_alpha <= 0 or self.ms_beta <= 0:

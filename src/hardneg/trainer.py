@@ -10,14 +10,15 @@ that property through per-class PCA eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import time
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .batch_engine import LabeledBatch
 from .errors import DivergenceDetected, InsufficientSamples
 from .gradients import loss_and_grad
-from .losses import LossConfig
+from .losses import LossConfig, real_number
 
 # Cluster tightness giving a mid-range baseline recall on the default
 # desk-scale shape (8 classes x 16 samples in dimension 16); picked by
@@ -25,6 +26,11 @@ from .losses import LossConfig
 DEFAULT_CONCENTRATION = 2.5
 
 DEFAULT_LEARNING_RATE = 0.05
+
+# A step holds (B, B) matrices and, for the loop_ losses, a solver row for
+# each of about B^2 / 8 combinations; larger specs are far beyond desk scale.
+MAX_BATCH_SIZE = 4096
+MAX_DIMENSION = 4096
 
 # Seed and iteration cap of the deterministic k-means behind NMI / F1.
 _KMEANS_SEED = 0
@@ -47,11 +53,19 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_classes", "samples_per_class", "dimension", "seed"):
+            object.__setattr__(self, name, real_number(getattr(self, name), name, integer=True))
+        if self.num_classes < 2 or self.seed < 0:
+            raise ValueError(f"need >= 2 classes and seed >= 0: {self.num_classes}, {self.seed}")
         if self.samples_per_class < 2 or self.samples_per_class % 2 != 0:
             raise ValueError(f"samples_per_class must be even, >= 2: {self.samples_per_class}")
-        if self.dimension < 3:
-            raise ValueError("dimension must be at least 3")
-        if not 0 < self.concentration <= 1e9:  # keeps same-class rows far beyond EPS_SEGMENT apart
+        if self.num_classes * self.samples_per_class > MAX_BATCH_SIZE:
+            raise ValueError(f"at most {MAX_BATCH_SIZE} samples: {self.num_classes} x "
+                             f"{self.samples_per_class}")
+        if not 3 <= self.dimension <= MAX_DIMENSION:
+            raise ValueError(f"dimension must lie in [3, {MAX_DIMENSION}], got {self.dimension}")
+        # The cap keeps same-class rows far beyond EPS_SEGMENT apart.
+        if not 0 < real_number(self.concentration, "concentration") <= 1e9:
             raise ValueError(f"concentration must lie in (0, 1e9], got {self.concentration}")
 
 
@@ -323,6 +337,37 @@ def train(
     final_loss = loss_and_grad(loss_choice, state.embeddings, config, variant)[0]
     state.history.append((steps, final_loss.total, recall_at_k(state.embeddings, 1)))
     return state
+
+
+def run_experiment(spec, losses, config, steps, learning_rate, seeds, variant, write_history):
+    """Train and evaluate every loss on every seed, loss-major, and summarize the runs.
+
+    Each run's seed replaces spec.seed, which the summary only echoes.
+    write_history(file_name, rows) gets each history as soon as its run ends.
+    """
+    summary = {"spec": asdict(spec), "steps": steps, "learning_rate": learning_rate, "runs": []}
+    for name in losses:
+        for seed in seeds:
+            start = time.perf_counter()
+            state = train(spec, name, config, steps, learning_rate=learning_rate,
+                          seed=seed, variant=variant)
+            train_s = time.perf_counter() - start
+            history_csv = f"history_{name}_seed{seed}.csv"
+            write_history(history_csv, state.history)
+            start = time.perf_counter()
+            report = evaluate(state.embeddings)
+            evaluate_s = time.perf_counter() - start
+            summary["runs"].append({
+                "loss": name, "seed": seed, "final_loss": state.history[-1][1],
+                "final_recall_at_1": state.history[-1][2],
+                "recall_at_k": {str(k): v for k, v in report.recall_at_k.items()},
+                "nmi": report.nmi, "f1": report.f1, "history_csv": history_csv,
+                "train_s": train_s, "evaluate_s": evaluate_s,
+            })
+    summary["median_final_recall_at_1"] = {name: float(np.median(
+        [run["final_recall_at_1"] for run in summary["runs"] if run["loss"] == name]))
+        for name in losses}
+    return summary
 
 
 def homoscedasticity_check(batch: LabeledBatch) -> dict:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import statistics
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import hardneg
-from hardneg import batch_engine, cli, errors, gradients
+from hardneg import batch_engine, cli, errors, gradients, trainer
 from hardneg.cli import main
 from hardneg.gradients import LOSS_REGISTRY
 
@@ -502,6 +503,37 @@ def test_experiment_summary_records_run_timings(tmp_path, capsys):
     for run in json.loads((tmp_path / "exp" / "summary.json").read_text())["runs"]:
         assert run["train_s"] > 0.0
         assert run["evaluate_s"] > 0.0
+
+
+def test_run_experiment_without_the_cli(tmp_path, capsys):
+    # The library runs the experiment the command line runs: one history per
+    # (loss, seed), handed over in loss-major order as each run ends, and the
+    # summary `hardneg experiment` writes, timings aside.
+    losses, seeds = ["loop_ms", "triplet"], [1, 0, 3, 2]
+    written = []
+    summary = trainer.run_experiment(
+        trainer.SyntheticSpec(**SMALL_SPEC), losses, hardneg.LossConfig(), 2,
+        trainer.DEFAULT_LEARNING_RATE, seeds, "arc", lambda *call: written.append(call))
+    assert [name for name, _ in written] == [f"history_{loss}_seed{seed}.csv"
+                                             for loss in losses for seed in seeds]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"spec": SMALL_SPEC, "losses": losses, "steps": 2,
+                                  "seeds": seeds}))
+    code, _ = run_cli(capsys, "experiment", str(config), "--out-dir", str(tmp_path / "exp"))
+    assert code == 0
+
+    def masked(payload):
+        for run in payload["runs"]:
+            run["train_s"] = run["evaluate_s"] = None
+        return json.dumps(payload, indent=2)
+
+    assert masked(summary) == masked(json.loads((tmp_path / "exp" / "summary.json").read_text()))
+    for name, rows in written:
+        csv_text = cli._csv_text(cli.HISTORY_HEADER, rows)
+        assert (tmp_path / "exp" / name).read_bytes() == csv_text.encode()
+    for loss in losses:
+        finals = [run["final_recall_at_1"] for run in summary["runs"] if run["loss"] == loss]
+        assert summary["median_final_recall_at_1"][loss] == statistics.median(finals)
 
 
 def test_experiment_losses_must_be_a_list_of_names(tmp_path, capsys):

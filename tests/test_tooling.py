@@ -42,15 +42,17 @@ def test_perfbench_seams_exist(monkeypatch):
 
 def test_import_stays_light():
     # A fresh `import hardneg` is most of perfbench's setup_s; the CLI and
-    # argparse load only when the command line runs.
-    probe = "import sys, hardneg; print('hardneg.cli' in sys.modules, 'argparse' in sys.modules)"
+    # argparse load only when the command line runs, and statistics (a few
+    # ms to import) not at all.
+    probe = ("import sys, hardneg; print(*(name in sys.modules for name in "
+             "('hardneg.cli', 'argparse', 'statistics')))")
     result = subprocess.run(
         [sys.executable, "-c", probe], cwd=ROOT, capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "False"]
+    assert result.stdout.split() == ["False", "False", "False"]
 
 
 def test_module_entry_point_exit_codes(tmp_path):

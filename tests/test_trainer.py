@@ -49,6 +49,15 @@ def test_synthetic_spec_validation():
         SyntheticSpec(dimension=2)
     with pytest.raises(ValueError):
         SyntheticSpec(concentration=1e12)
+    # The spec checks every field itself; the command line used to be the
+    # only caller that rejected these, so the library accepted them.
+    for fields in ({"concentration": True}, {"num_classes": "3"}, {"num_classes": 4.5},
+                   {"num_classes": 1}, {"seed": -1}, {"dimension": 5000},
+                   {"num_classes": 300, "samples_per_class": 16}):
+        with pytest.raises(ValueError):
+            SyntheticSpec(**fields)
+    spec = SyntheticSpec(num_classes=4.0)
+    assert spec.num_classes == 4 and type(spec.num_classes) is int
 
 
 def test_antipodal_means_high_concentration():
