@@ -41,8 +41,12 @@ from .geometry import DEGENERACY_EPS, fallback_orthonormal
 # conditions need a numeric cushion.
 EPS_LAMBDA = 1e-9
 EPS_BOX = 1e-9
-# Below this magnitude the linear coefficient of the interior tan quadratic
-# is treated as zero and the degenerate closed forms apply.
+# At or below this multiple of |(a, b, c, d)| a coefficient of the interior
+# tan quadratic is treated as zero and the degenerate closed forms apply.
+# (a, b, c, d) come from unit dots with an absolute error of a few ulps, so
+# the quadratic's coefficients, products of them, carry one that scales
+# with that norm. An absolute cut would drop the interior candidates of
+# tiny but exact objectives; an all-zero row still falls back.
 EPS_QUAD = 1e-12
 # A segment with endpoint gap at or below this collapses to a point.
 EPS_SEGMENT = 1e-12
@@ -187,8 +191,9 @@ def _arc_candidates(a, b, c, d, alpha0, beta0):
     # [0, pi), where the reduction mod pi leaves them as they are.
     lead = a * b + c * d
     big_a = a * a - b * b + c * c - d * d
-    generic = np.abs(lead) >= EPS_QUAD
-    linear = ~generic & (np.abs(big_a) >= EPS_QUAD)
+    cut = EPS_QUAD * np.sqrt(a * a + b * b + c * c + d * d)
+    generic = np.abs(lead) > cut
+    linear = ~generic & (np.abs(big_a) > cut)
     disc = np.hypot(big_a, 2.0 * lead)
     num = big_a + np.where(big_a >= 0.0, disc, -disc)
     safe_lead = np.where(generic, lead, 1.0)

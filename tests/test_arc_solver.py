@@ -19,6 +19,7 @@ from hardneg.vectorized import (
     CASE_BOUNDS,
     EPS_BOX,
     EPS_LAMBDA,
+    EPS_QUAD,
     arc_candidate_table,
     arc_kkt,
     solve_arc_stack,
@@ -300,6 +301,62 @@ def test_symmetry_under_swaps(pts, seed):
     for other in ((y1, y2, x1, x2), (x2, x1, y1, y2), (x1, x2, y2, y1), pts @ rotation.T):
         distance, other_slack = solve_or_none(*other)
         assert abs(distance**2 - base**2) <= max(slack, other_slack)
+
+
+def tiny_objective_instances():
+    """Two instances whose objective coefficients (a, b, c, d) are all about
+    1e-7, so the interior tan quadratic has coefficients near 1e-14."""
+    x7 = np.full((4, 7), -5.96046448e-08)
+    x7[range(4), range(4)] = 0.25, 0.5, -1.0, -1.0
+    x8 = np.full((4, 8), 5.96046448e-08)
+    x8[(0, 1, 3), (5, 6, 7)] = 1.0
+    x8[2, 5:7] = 0.0
+    return x7, x8
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_tiny_objective_keeps_interior_minimum(index):
+    # An absolute cut on the interior quadratic dropped both interior
+    # candidates here, and the answer then depended on argument order.
+    x1, x2, y1, y2 = tiny_objective_instances()[index]
+    orders = ((x1, x2, y1, y2), (y1, y2, x1, x2), (x2, x1, y1, y2), (x1, x2, y2, y1))
+    sols = [optimal_arc_distance(ArcProblem.from_endpoints(*order)) for order in orders]
+    assert all(sol.candidate.case_id == 0 for sol in sols)
+    squared = [sol.distance**2 for sol in sols]
+    assert max(squared) - min(squared) <= 1e-12
+    grid = grid_min_arc(ArcProblem.from_endpoints(x1, x2, y1, y2), resolution=0.01)
+    assert squared[0] <= grid.best_distance**2 + 1e-15
+
+
+def coefficient_endpoints(a, b, c, d, extent=2.5):
+    """Unit endpoints in 5-D whose objective coefficients are (a, b, c, d):
+    x1 = e0 and n2x = e1, so y1 = -(d, c, ...) and n2y = -(b, a, ...)."""
+    x1, n2x = np.eye(5)[:2]
+    y1 = np.array([-d, -c, math.sqrt(1.0 - c * c - d * d), 0.0, 0.0])
+    t = -(a * c + b * d) / y1[2]
+    n2y = np.array([-b, -a, t, math.sqrt(1.0 - a * a - b * b - t * t), 0.0])
+    turn = math.cos(extent), math.sin(extent)
+    return x1, turn[0] * x1 + turn[1] * n2x, y1, turn[0] * y1 + turn[1] * n2y
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-7])
+@pytest.mark.parametrize("ratio", [0.5, 2.0])
+def test_rows_beside_the_quadratic_cut_match_the_grid(scale, ratio):
+    # lead = ab + cd is set to ratio times the cut EPS_QUAD * |(a, b, c, d)|,
+    # so ratio 0.5 takes the linear closed form and ratio 2.0 the generic
+    # roots. The interior minimum lies in the box near alpha = pi/2; either
+    # way the solve is no worse than the grid.
+    a, b, c = -0.6 * scale, 0.2 * scale, 0.3 * scale
+    norm = math.sqrt(a * a + b * b + c * c + (0.4 * scale) ** 2)
+    pts = coefficient_endpoints(a, b, c, (ratio * EPS_QUAD * norm - a * b) / c)
+    sol = solve_arc_stack(*(p[None] for p in pts))
+    ca, cb, cc, cd = sol.coeffs[0]
+    cut = EPS_QUAD * math.sqrt(ca * ca + cb * cb + cc * cc + cd * cd)
+    assert (abs(ca * cb + cc * cd) > cut) == (ratio > 1.0)
+    assert abs(ca * ca - cb * cb + cc * cc - cd * cd) > 1e4 * cut
+    assert sol.case_id[0] == 0 and abs(sol.alpha[0] - math.pi / 2) < 1e-4
+    grid = grid_min_arc(ArcProblem.from_endpoints(*pts), resolution=0.01)
+    assert sol.distance[0] ** 2 <= grid.best_distance**2
 
 
 def collapsed_problems(rng, count, dim):
